@@ -5,8 +5,8 @@
 //
 // Paper claims: gains shrink as N/n grows; around 8x in its example
 // point; "the best performance is 12 times or 16 times faster". Note
-// DESIGN.md: the prose's 8x at (c=4, N/n=8) is not reproducible from
-// the paper's own equations (they give ~3.8x with equal weights); we
+// that the prose's 8x at (c=4, N/n=8) is not reproducible from the
+// paper's own equations (they give ~3.8x with equal weights); we
 // plot the equations faithfully.
 #include <iostream>
 

@@ -1,8 +1,8 @@
 // The adversary's view: runs a workload through H-ORAM with tracing on,
 // dumps a window of the observable bus events, and then runs the
 // pattern auditor over the full trace to check the obliviousness
-// invariants (DESIGN.md §6) — the executable version of the paper's
-// §4.4 security analysis.
+// invariants (listed in src/analysis/pattern_audit.h) — the executable
+// version of the paper's §4.4 security analysis.
 //
 //   $ ./examples/adversary_view
 #include <cstdio>

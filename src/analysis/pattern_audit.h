@@ -1,5 +1,6 @@
 // Pattern auditor: replays an access trace (the adversary's view) and
-// checks the obliviousness invariants of DESIGN.md §6.
+// checks the obliviousness invariants H-ORAM's security argument (paper
+// §4.4) rests on.
 //
 // Checks:
 //   1. Storage read uniqueness — a storage slot is read at most once

@@ -5,6 +5,11 @@
 //     (see crypto/seal.h), and
 //   * as the core of chacha_rng, the CSPRNG behind all security-relevant
 //     random choices (leaf remapping, permutation generation).
+//
+// One kernel serves every entry point: it computes four consecutive
+// keystream blocks at once in 128-bit vector lanes (GCC/Clang vector
+// extensions, so the default x86-64 target gets SSE2 code) and XORs the
+// data 16 bytes at a time.
 #ifndef HORAM_CRYPTO_CHACHA20_H
 #define HORAM_CRYPTO_CHACHA20_H
 
@@ -21,6 +26,11 @@ using chacha_key = std::array<std::uint8_t, 32>;
 /// 96-bit nonce (RFC 8439 layout).
 using chacha_nonce = std::array<std::uint8_t, 12>;
 
+/// Keystream bytes the kernel produces per step (four 64-byte blocks).
+/// Splitting one stream into several chacha20_xor calls at multiples of
+/// this size computes no keystream block twice.
+inline constexpr std::size_t chacha20_group_bytes = 4 * 64;
+
 /// Computes one 64-byte ChaCha20 keystream block for (key, counter, nonce).
 void chacha20_block(const chacha_key& key, std::uint32_t counter,
                     const chacha_nonce& nonce,
@@ -28,9 +38,18 @@ void chacha20_block(const chacha_key& key, std::uint32_t counter,
 
 /// XORs `data` in place with the ChaCha20 keystream starting at block
 /// `initial_counter`. Encryption and decryption are the same operation.
+/// The block counter wraps mod 2^32, as RFC 8439's 32-bit counter does.
 void chacha20_xor(const chacha_key& key, const chacha_nonce& nonce,
                   std::uint32_t initial_counter,
                   std::span<std::uint8_t> data);
+
+/// Copy-XOR form: out = in XOR keystream. `in` and `out` have the same
+/// size and are either the same bytes or disjoint; a partial overlap or
+/// a size mismatch throws contract_error.
+void chacha20_xor(const chacha_key& key, const chacha_nonce& nonce,
+                  std::uint32_t initial_counter,
+                  std::span<const std::uint8_t> in,
+                  std::span<std::uint8_t> out);
 
 /// Cryptographically strong random stream built on the ChaCha20 block
 /// function in counter mode. Deterministic for a fixed key, which keeps
@@ -51,8 +70,8 @@ class chacha_rng final : public util::random_source {
   chacha_key key_{};
   chacha_nonce nonce_{};
   std::uint32_t counter_ = 0;
-  std::array<std::uint8_t, 64> buffer_{};
-  std::size_t used_ = 64;  // Forces a refill on first use.
+  std::array<std::uint8_t, chacha20_group_bytes> buffer_{};
+  std::size_t used_ = chacha20_group_bytes;  // Forces a refill on first use.
 };
 
 }  // namespace horam::crypto

@@ -4,21 +4,31 @@
 // nonce, so two ciphertexts of the same plaintext are unlinkable — the
 // property that lets H-ORAM rewrite unmodified data during path
 // write-back and shuffles without revealing that nothing changed.
+//
+// Sealed layout: nonce (12 bytes) || ciphertext || mac (8 bytes), the MAC
+// covering nonce || ciphertext. seal() and open() write into caller
+// spans and allocate nothing. Each may run in place: the plaintext may
+// be the very bytes at sealed offset seal_nonce_bytes, so a record can
+// be filled with its plaintext and sealed where it lies.
 #ifndef HORAM_CRYPTO_SEAL_H
 #define HORAM_CRYPTO_SEAL_H
 
 #include <cstdint>
 #include <span>
-#include <vector>
+#include <stdexcept>
+#include <string>
 
 #include "crypto/chacha20.h"
 #include "crypto/siphash.h"
 
 namespace horam::crypto {
 
+/// Offset of the ciphertext in a sealed buffer (the nonce comes first).
+inline constexpr std::size_t seal_nonce_bytes = 12;
+
 /// Extra bytes a sealed block carries beyond the plaintext
 /// (12-byte nonce + 8-byte MAC).
-inline constexpr std::size_t seal_overhead = 12 + 8;
+inline constexpr std::size_t seal_overhead = seal_nonce_bytes + 8;
 
 /// Key material for the sealing scheme (independent encryption and MAC
 /// keys, per standard encrypt-then-MAC practice).
@@ -36,15 +46,30 @@ class block_sealer {
  public:
   explicit block_sealer(const seal_keys& keys);
 
-  /// Seals `plaintext`; the result is plaintext.size() + seal_overhead
-  /// bytes: nonce || ciphertext || mac.
-  [[nodiscard]] std::vector<std::uint8_t> seal(
-      std::span<const std::uint8_t> plaintext);
+  /// Seals `plaintext` into `out`, which must be exactly
+  /// plaintext.size() + seal_overhead bytes. `plaintext` is either
+  /// disjoint from `out` or exactly out.subspan(seal_nonce_bytes,
+  /// plaintext.size()) (in-place sealing). A wrong size or a partial
+  /// overlap throws contract_error.
+  void seal(std::span<const std::uint8_t> plaintext,
+            std::span<std::uint8_t> out);
 
-  /// Opens a sealed buffer. Throws crypto_error if the MAC check fails
-  /// (tampering) or the buffer is malformed.
-  [[nodiscard]] std::vector<std::uint8_t> open(
-      std::span<const std::uint8_t> sealed) const;
+  /// Opens `sealed` into `plaintext_out`, which must be exactly
+  /// sealed.size() - seal_overhead bytes and is either disjoint from
+  /// `sealed` or exactly its ciphertext bytes (in-place opening). The MAC
+  /// is verified before any byte is written. Throws crypto_error if the
+  /// MAC check fails (tampering) or the buffer is malformed, and
+  /// contract_error on a wrongly sized output.
+  void open(std::span<const std::uint8_t> sealed,
+            std::span<std::uint8_t> plaintext_out) const;
+
+  /// Scatter form of open(): the first head.size() plaintext bytes go to
+  /// `head`, the rest to `body`. An empty `body` decrypts only the head;
+  /// a non-empty one must hold exactly the rest. The whole buffer is
+  /// authenticated either way. Aliasing rules as for open(), per span.
+  void open(std::span<const std::uint8_t> sealed,
+            std::span<std::uint8_t> head,
+            std::span<std::uint8_t> body) const;
 
  private:
   seal_keys keys_;

@@ -1,6 +1,12 @@
 #include "crypto/siphash.h"
 
+#include <bit>
+#include <cstring>
+
 namespace horam::crypto {
+
+static_assert(std::endian::native == std::endian::little,
+              "word loads assume a little-endian host");
 
 namespace {
 
@@ -8,16 +14,23 @@ constexpr std::uint64_t rotl64(std::uint64_t v, int n) noexcept {
   return (v << n) | (v >> (64 - n));
 }
 
-constexpr std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+std::uint64_t load_le64(const std::uint8_t* p) noexcept {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
+  std::memcpy(&v, p, sizeof v);
   return v;
 }
 
 struct sip_state {
   std::uint64_t v0, v1, v2, v3;
+
+  explicit sip_state(const siphash_key& key) noexcept {
+    const std::uint64_t k0 = load_le64(key.data());
+    const std::uint64_t k1 = load_le64(key.data() + 8);
+    v0 = 0x736f6d6570736575ULL ^ k0;
+    v1 = 0x646f72616e646f6dULL ^ k1;
+    v2 = 0x6c7967656e657261ULL ^ k0;
+    v3 = 0x7465646279746573ULL ^ k1;
+  }
 
   void round() noexcept {
     v0 += v1;
@@ -35,53 +48,52 @@ struct sip_state {
     v1 ^= v2;
     v2 = rotl64(v2, 32);
   }
+
+  /// Two compression rounds over one message word.
+  void absorb(std::uint64_t m) noexcept {
+    v3 ^= m;
+    round();
+    round();
+    v0 ^= m;
+  }
+
+  /// Four finalization rounds.
+  std::uint64_t finish() noexcept {
+    v2 ^= 0xff;
+    round();
+    round();
+    round();
+    round();
+    return v0 ^ v1 ^ v2 ^ v3;
+  }
 };
 
 }  // namespace
 
 std::uint64_t siphash24(const siphash_key& key,
                         std::span<const std::uint8_t> data) {
-  const std::uint64_t k0 = load_le64(key.data());
-  const std::uint64_t k1 = load_le64(key.data() + 8);
-
-  sip_state s{0x736f6d6570736575ULL ^ k0, 0x646f72616e646f6dULL ^ k1,
-              0x6c7967656e657261ULL ^ k0, 0x7465646279746573ULL ^ k1};
-
+  sip_state s(key);
   const std::size_t full_words = data.size() / 8;
   for (std::size_t w = 0; w < full_words; ++w) {
-    const std::uint64_t m = load_le64(data.data() + 8 * w);
-    s.v3 ^= m;
-    s.round();
-    s.round();
-    s.v0 ^= m;
+    s.absorb(load_le64(data.data() + 8 * w));
   }
 
   // Final word: remaining bytes plus the length in the top byte.
-  std::uint64_t last = static_cast<std::uint64_t>(data.size() & 0xff) << 56;
-  const std::size_t tail = data.size() & 7;
-  for (std::size_t i = 0; i < tail; ++i) {
-    last |= static_cast<std::uint64_t>(data[8 * full_words + i]) << (8 * i);
+  std::uint64_t last = 0;
+  if (const std::size_t tail = data.size() & 7; tail != 0) {
+    std::memcpy(&last, data.data() + 8 * full_words, tail);
   }
-  s.v3 ^= last;
-  s.round();
-  s.round();
-  s.v0 ^= last;
-
-  s.v2 ^= 0xff;
-  s.round();
-  s.round();
-  s.round();
-  s.round();
-  return s.v0 ^ s.v1 ^ s.v2 ^ s.v3;
+  s.absorb(last | static_cast<std::uint64_t>(data.size() & 0xff) << 56);
+  return s.finish();
 }
 
 std::uint64_t siphash24_u64(const siphash_key& key, std::uint64_t value) {
-  std::array<std::uint8_t, 8> bytes;
-  for (int i = 0; i < 8; ++i) {
-    bytes[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(value >> (8 * i));
-  }
-  return siphash24(key, bytes);
+  // The byte form of an 8-byte message: one full word, then a final word
+  // holding only the length.
+  sip_state s(key);
+  s.absorb(value);
+  s.absorb(std::uint64_t{8} << 56);
+  return s.finish();
 }
 
 }  // namespace horam::crypto

@@ -4,8 +4,8 @@
 // accesses, storage slot reads, sequential shuffle sweeps, scheduling
 // cycle boundaries — is reported here by the ORAM layers. The pattern
 // auditor (src/analysis/pattern_audit.h) replays a trace and checks the
-// obliviousness invariants of DESIGN.md §6; tests fail if any layer
-// leaks. Tracing is optional (pass nullptr) and adds no cost when off.
+// obliviousness invariants listed at the top of that header; tests fail
+// if any layer leaks. Tracing is optional (pass nullptr) and adds no cost when off.
 #ifndef HORAM_ORAM_COMMON_ACCESS_TRACE_H
 #define HORAM_ORAM_COMMON_ACCESS_TRACE_H
 

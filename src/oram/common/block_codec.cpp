@@ -1,6 +1,7 @@
 #include "oram/common/block_codec.h"
 
-#include <cstring>
+#include <algorithm>
+#include <array>
 
 #include "util/contracts.h"
 
@@ -21,21 +22,19 @@ void block_codec::encode(block_id id, std::span<const std::uint8_t> payload,
   expects(record_out.size() >= record_bytes_, "record buffer too small");
   expects(payload.size() <= payload_bytes_, "payload larger than block");
 
-  std::vector<std::uint8_t> plain(8 + payload_bytes_, 0);
+  // The plaintext is assembled where the ciphertext goes and sealed there.
+  const std::span<std::uint8_t> plain = record_out.subspan(
+      seal_ ? crypto::seal_nonce_bytes : 0, 8 + payload_bytes_);
   for (int i = 0; i < 8; ++i) {
     plain[static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(id >> (8 * i));
   }
-  if (!payload.empty()) {
-    std::memcpy(plain.data() + 8, payload.data(), payload.size());
-  }
+  const auto tail = std::copy(payload.begin(), payload.end(),
+                              plain.begin() + 8);
+  std::fill(tail, plain.end(), std::uint8_t{0});
 
   if (seal_) {
-    const std::vector<std::uint8_t> sealed = sealer_.seal(plain);
-    invariant(sealed.size() == record_bytes_, "sealed size mismatch");
-    std::memcpy(record_out.data(), sealed.data(), sealed.size());
-  } else {
-    std::memcpy(record_out.data(), plain.data(), plain.size());
+    sealer_.seal(plain, record_out.first(record_bytes_));
   }
 }
 
@@ -46,25 +45,24 @@ void block_codec::encode_dummy(std::span<std::uint8_t> record_out) {
 block_id block_codec::decode(std::span<const std::uint8_t> record,
                              std::span<std::uint8_t> payload_out) const {
   expects(record.size() >= record_bytes_, "record buffer too small");
+  if (!payload_out.empty()) {
+    expects(payload_out.size() >= payload_bytes_,
+            "payload buffer too small");
+    payload_out = payload_out.first(payload_bytes_);
+  }
 
-  const std::uint8_t* plain = nullptr;
-  std::vector<std::uint8_t> opened;
+  std::array<std::uint8_t, 8> id_bytes{};
   if (seal_) {
-    opened = sealer_.open(record.first(record_bytes_));
-    invariant(opened.size() == 8 + payload_bytes_, "opened size mismatch");
-    plain = opened.data();
+    sealer_.open(record.first(record_bytes_), id_bytes, payload_out);
   } else {
-    plain = record.data();
+    std::copy_n(record.begin(), 8, id_bytes.begin());
+    std::copy_n(record.begin() + 8, payload_out.size(), payload_out.begin());
   }
 
   block_id id = 0;
   for (int i = 0; i < 8; ++i) {
-    id |= static_cast<block_id>(plain[i]) << (8 * i);
-  }
-  if (!payload_out.empty()) {
-    expects(payload_out.size() >= payload_bytes_,
-            "payload buffer too small");
-    std::memcpy(payload_out.data(), plain + 8, payload_bytes_);
+    id |= static_cast<block_id>(id_bytes[static_cast<std::size_t>(i)])
+          << (8 * i);
   }
   return id;
 }

@@ -9,12 +9,16 @@
 // Sealing can be disabled for large benchmark runs: records are stored
 // in the clear, but callers still charge the modelled crypto time, so
 // virtual-time results are identical.
+//
+// Neither direction allocates. encode() writes id || payload straight
+// into the record's ciphertext region and seals it in place; decode()
+// verifies the MAC over the whole record, then decrypts the id into a
+// stack word and the payload into the caller's buffer.
 #ifndef HORAM_ORAM_COMMON_BLOCK_CODEC_H
 #define HORAM_ORAM_COMMON_BLOCK_CODEC_H
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "crypto/seal.h"
 #include "oram/common/types.h"
@@ -37,7 +41,9 @@ class block_codec {
   [[nodiscard]] bool sealing() const noexcept { return seal_; }
 
   /// Encodes a block into `record_out` (record_bytes long). A dummy
-  /// block is encoded by passing dummy_block_id and an empty payload.
+  /// block is encoded by passing dummy_block_id and an empty payload; a
+  /// short payload is zero-padded. `payload` must not overlap
+  /// `record_out`.
   void encode(block_id id, std::span<const std::uint8_t> payload,
               std::span<std::uint8_t> record_out);
 
@@ -45,8 +51,9 @@ class block_codec {
   void encode_dummy(std::span<std::uint8_t> record_out);
 
   /// Decodes a record; returns the block id (dummy_block_id for
-  /// dummies) and copies the payload into `payload_out` if non-empty.
-  /// Throws crypto::crypto_error on MAC failure when sealing.
+  /// dummies) and writes the payload into `payload_out` if non-empty
+  /// (at least payload_bytes long). Throws crypto::crypto_error on MAC
+  /// failure when sealing, before `payload_out` is touched.
   block_id decode(std::span<const std::uint8_t> record,
                   std::span<std::uint8_t> payload_out) const;
 

@@ -4,6 +4,8 @@
 // silent corruption).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "oram/common/block_codec.h"
 #include "oram/common/position_map.h"
 #include "oram/common/stash.h"
@@ -81,6 +83,46 @@ TEST(Codec, PlainDecodeNeedsNoAllocation) {
   codec.encode(77, std::vector<std::uint8_t>(16, 1), record);
   std::vector<std::uint8_t> out(16);
   EXPECT_EQ(codec.decode(record, out), 77u);
+}
+
+TEST(Codec, GoldenSealedRecord) {
+  // Captured before sealing moved into the record buffer: the bytes on
+  // the wire (nonce counter 1, key seed 2019) must not change.
+  block_codec codec(64, true, 2019);
+  std::vector<std::uint8_t> payload(64);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  std::vector<std::uint8_t> record(codec.record_bytes());
+  codec.encode(42, payload, record);  // nonce counter 0
+  codec.encode(42, payload, record);  // nonce counter 1
+  const std::vector<std::uint8_t> expected = {
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x3e, 0x21, 0x4a, 0xb9, 0xb0, 0x27, 0xba, 0xbc, 0x7b, 0x95, 0x64, 0x49,
+      0xf6, 0x4e, 0x74, 0x6a, 0xb0, 0xe2, 0x37, 0x8e, 0x90, 0xfd, 0x2a, 0x25,
+      0x75, 0xda, 0xf6, 0x27, 0x1d, 0x9b, 0xf4, 0x83, 0x0e, 0x8f, 0x5a, 0xc6,
+      0x84, 0x2b, 0x40, 0x90, 0x63, 0x07, 0x70, 0xe4, 0xc8, 0x03, 0xd5, 0x1a,
+      0x7c, 0xd2, 0xba, 0xc8, 0x21, 0x14, 0x6b, 0x54, 0xeb, 0x11, 0xe8, 0xd9,
+      0xb6, 0xc8, 0xab, 0xfe, 0x32, 0xeb, 0xc3, 0x53, 0xfb, 0x05, 0x3c, 0x96,
+      0x21, 0x9b, 0xd3, 0xa5, 0xe4, 0xfb, 0x8f, 0xf8,
+  };
+  EXPECT_EQ(record, expected);
+  std::vector<std::uint8_t> out(64);
+  EXPECT_EQ(codec.decode(record, out), 42u);
+  EXPECT_EQ(out, payload);
+  EXPECT_EQ(codec.decode(record, {}), 42u);  // id only
+}
+
+TEST(Codec, SealedDecodeIntoLargerBufferWritesPayloadOnly) {
+  block_codec codec(300, true, 4);
+  const std::vector<std::uint8_t> payload(300, 0x3c);
+  std::vector<std::uint8_t> record(codec.record_bytes());
+  codec.encode(8, payload, record);
+  std::vector<std::uint8_t> out(310, 0xff);
+  EXPECT_EQ(codec.decode(record, out), 8u);
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), out.begin()));
+  EXPECT_EQ(out[300], 0xff);
+  EXPECT_EQ(out[309], 0xff);
 }
 
 TEST(Codec, DifferentKeySeedsCannotDecodeEachOther) {
