@@ -4,7 +4,10 @@
 // harnesses report virtual time).
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "crypto/chacha20.h"
+#include "crypto/chacha_lanes.h"
 #include "crypto/seal.h"
 #include "crypto/siphash.h"
 #include "oram/path/path_oram.h"
@@ -17,6 +20,11 @@
 namespace {
 
 using namespace horam;
+
+/// Labels a crypto benchmark with the kernel width this CPU runs.
+void label_lanes(benchmark::State& state) {
+  state.SetLabel(std::to_string(crypto::detail::active_lanes()) + " lanes");
+}
 
 void bm_chacha20_block(benchmark::State& state) {
   crypto::chacha_key key{};
@@ -42,6 +50,7 @@ void bm_chacha20_xor_1k(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           1024);
+  label_lanes(state);
 }
 BENCHMARK(bm_chacha20_xor_1k);
 
@@ -69,6 +78,7 @@ void bm_seal_open_1k(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           1024);
+  label_lanes(state);
 }
 BENCHMARK(bm_seal_open_1k);
 
@@ -85,6 +95,7 @@ void bm_chacha_rng(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(rng.next_u64());
   }
+  label_lanes(state);
 }
 BENCHMARK(bm_chacha_rng);
 

@@ -117,6 +117,13 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
               "a shard with more cache than data — lower shards() or "
               "raise blocks()");
     }
+    if (count > 1) {
+      // Every shard's codecs start their nonce counters at 0, so each
+      // shard seals under its own keys (domain 2); a shared key_seed
+      // would reuse ChaCha20 keystream across shards.
+      shard_config.key_seed =
+          derive_shard_seed(config_.route_key_seed, config_.key_seed, s, 2);
+    }
     shard_config.validate();
 
     auto state = std::make_unique<shard_state>();

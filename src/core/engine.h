@@ -170,12 +170,12 @@ class engine {
   }
 
   /// Per-shard seed derivation: a SipHash PRF keyed by route_key_seed
-  /// over (domain, shard), XOR-folded into the machine seed. Distinct
+  /// over (domain, shard), XOR-folded into the base seed. Distinct
   /// shards and domains (0 = the shard's ORAM RNG, 1 = its pad-id
-  /// stream) get independent streams regardless of how close the base
-  /// seeds are — unlike sequential seeding, nearby seeds can never
-  /// alias a neighbouring shard's stream. Exposed for the RNG-hygiene
-  /// regression tests.
+  /// stream, 2 = its seal key_seed) get independent streams regardless
+  /// of how close the base seeds are — unlike sequential seeding,
+  /// nearby seeds can never alias a neighbouring shard's stream.
+  /// Exposed for the RNG-hygiene regression tests.
   [[nodiscard]] static std::uint64_t derive_shard_seed(
       std::uint64_t route_key_seed, std::uint64_t seed, std::uint32_t shard,
       std::uint32_t domain);

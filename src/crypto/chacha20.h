@@ -6,10 +6,13 @@
 //   * as the core of chacha_rng, the CSPRNG behind all security-relevant
 //     random choices (leaf remapping, permutation generation).
 //
-// One kernel serves every entry point: it computes four consecutive
-// keystream blocks at once in 128-bit vector lanes (GCC/Clang vector
-// extensions, so the default x86-64 target gets SSE2 code) and XORs the
-// data 16 bytes at a time.
+// One kernel serves every entry point (crypto/chacha_lanes.h). It is a
+// single template over the lane count L that computes L consecutive
+// keystream blocks per step: L = 4 in 128-bit vectors (SSE2 on the
+// default x86-64 target, and the only width elsewhere), L = 8 under
+// AVX2 and L = 16 under AVX-512F. The widest one the CPU supports is
+// chosen from CPUID once per process; there is no knob, and every width
+// produces the same bytes.
 #ifndef HORAM_CRYPTO_CHACHA20_H
 #define HORAM_CRYPTO_CHACHA20_H
 
@@ -25,11 +28,6 @@ namespace horam::crypto {
 using chacha_key = std::array<std::uint8_t, 32>;
 /// 96-bit nonce (RFC 8439 layout).
 using chacha_nonce = std::array<std::uint8_t, 12>;
-
-/// Keystream bytes the kernel produces per step (four 64-byte blocks).
-/// Splitting one stream into several chacha20_xor calls at multiples of
-/// this size computes no keystream block twice.
-inline constexpr std::size_t chacha20_group_bytes = 4 * 64;
 
 /// Computes one 64-byte ChaCha20 keystream block for (key, counter, nonce).
 void chacha20_block(const chacha_key& key, std::uint32_t counter,
@@ -67,11 +65,15 @@ class chacha_rng final : public util::random_source {
  private:
   void refill();
 
+  // One group of the widest kernel: a refill is a whole number of kernel
+  // steps at every width.
+  static constexpr std::size_t buffer_bytes = 16 * 64;
+
   chacha_key key_{};
   chacha_nonce nonce_{};
   std::uint32_t counter_ = 0;
-  std::array<std::uint8_t, chacha20_group_bytes> buffer_{};
-  std::size_t used_ = chacha20_group_bytes;  // Forces a refill on first use.
+  std::array<std::uint8_t, buffer_bytes> buffer_{};
+  std::size_t used_ = buffer_bytes;  // Forces a refill on first use.
 };
 
 }  // namespace horam::crypto

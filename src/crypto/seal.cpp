@@ -4,7 +4,10 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <functional>
 
+#include "crypto/chacha_lanes.h"
+#include "crypto/sip_core.h"
 #include "util/contracts.h"
 
 namespace horam::crypto {
@@ -16,6 +19,42 @@ namespace {
 
 // Sealed payloads start at keystream block 1, as in RFC 8439's AEAD.
 constexpr std::uint32_t first_payload_block = 1;
+
+// open() decrypts through a stack window of whole keystream blocks that
+// holds a 1 KiB-payload record (8-byte id + 1024 bytes = 17 blocks).
+constexpr std::size_t open_window_bytes = 17 * 64;
+
+/// SipHash of nonce || ciphertext as side work of the keystream pass:
+/// each call absorbs up to `budget` words of the bytes that are final,
+/// `lead` bytes plus those the kernel has written.
+struct mac_pass {
+  sip_stream sip;
+  std::size_t lead;
+  std::size_t budget;
+
+  [[gnu::always_inline]] void operator()(std::size_t done) noexcept {
+    sip.absorb(lead + done, budget);
+  }
+};
+
+/// Whether `span` is empty, starts at `in_place`, or shares no byte with
+/// `buffer`: the aliasing seal() and open() accept.
+bool in_place_or_disjoint(std::span<const std::uint8_t> span,
+                          const std::uint8_t* in_place,
+                          std::span<const std::uint8_t> buffer) {
+  const std::less<const std::uint8_t*> before;
+  return span.empty() || span.data() == in_place ||
+         !before(span.data(), buffer.data() + buffer.size()) ||
+         !before(buffer.data(), span.data() + span.size());
+}
+
+/// Words per side-work call that spread `bytes` of MAC input evenly over
+/// the calls of `groups` kernel groups.
+template <int L>
+std::size_t mac_budget(std::size_t bytes, std::size_t groups) {
+  const std::size_t calls = groups * chacha_lanes<L>::side_calls;
+  return (bytes / 8 + calls - 1) / calls;
+}
 
 }  // namespace
 
@@ -40,6 +79,9 @@ void block_sealer::seal(std::span<const std::uint8_t> plaintext,
   const std::size_t size = plaintext.size();
   expects(out.size() == size + seal_overhead,
           "sealed buffer must be plaintext size + seal_overhead");
+  std::uint8_t* ciphertext = out.data() + seal_nonce_bytes;
+  expects(in_place_or_disjoint(plaintext, ciphertext, out),
+          "seal: plaintext partially overlaps the sealed buffer");
 
   // Nonce: 8-byte counter || 4 zero bytes. Unique per seal per instance.
   chacha_nonce nonce{};
@@ -47,12 +89,17 @@ void block_sealer::seal(std::span<const std::uint8_t> plaintext,
   std::memcpy(nonce.data(), &n, sizeof n);
   std::memcpy(out.data(), nonce.data(), nonce.size());
 
-  chacha20_xor(keys_.encryption_key, nonce, first_payload_block, plaintext,
-               out.subspan(seal_nonce_bytes, size));
-
-  // MAC over nonce || ciphertext.
-  const std::uint64_t tag =
-      siphash24(keys_.mac_key, out.first(seal_nonce_bytes + size));
+  // One pass: the MAC over nonce || ciphertext hashes group g - 1's
+  // ciphertext while group g's keystream is computed.
+  std::uint64_t tag = 0;
+  with_lanes([&]<int L>(lanes<L>) __attribute__((always_inline)) {
+    mac_pass mac{sip_stream(keys_.mac_key, out.data(), seal_nonce_bytes + size),
+                 seal_nonce_bytes,
+                 mac_budget<L>(chacha_lanes<L>::group_bytes, 1)};
+    chacha_lanes<L>::stream(keys_.encryption_key, nonce, first_payload_block,
+                            plaintext.data(), ciphertext, size, mac);
+    tag = mac.sip.finish();
+  });
   std::memcpy(out.data() + seal_nonce_bytes + size, &tag, sizeof tag);
 }
 
@@ -76,42 +123,56 @@ void block_sealer::open(std::span<const std::uint8_t> sealed,
   const std::size_t h = head.size();
   expects(h <= size && (body.empty() || h + body.size() == size),
           "head and body must split the plaintext");
-
-  const std::uint64_t expected_tag =
-      siphash24(keys_.mac_key, sealed.first(seal_nonce_bytes + size));
+  const std::uint8_t* ciphertext = sealed.data() + seal_nonce_bytes;
+  expects(in_place_or_disjoint(head, ciphertext, sealed) &&
+              in_place_or_disjoint(body, ciphertext + h, sealed),
+          "open: output partially overlaps the sealed buffer");
+  const std::size_t end = body.empty() ? h : size;
+  const std::size_t mac_bytes = seal_nonce_bytes + size;
   std::uint64_t stored_tag = 0;
-  std::memcpy(&stored_tag, sealed.data() + seal_nonce_bytes + size,
-              sizeof stored_tag);
-  if (stored_tag != expected_tag) {
-    throw crypto_error("MAC verification failed: block tampered or corrupt");
-  }
-
+  std::memcpy(&stored_tag, sealed.data() + mac_bytes, sizeof stored_tag);
   chacha_nonce nonce{};
   std::memcpy(nonce.data(), sealed.data(), nonce.size());
-  const auto ciphertext = sealed.subspan(seal_nonce_bytes, size);
-  const std::size_t end = body.empty() ? h : size;
-  const auto counter_at = [](std::size_t offset) {
-    return static_cast<std::uint32_t>(first_payload_block + offset / 64);
+
+  // Plaintext bytes [pos, pos + len) sit in the window; copy them out.
+  std::array<std::uint8_t, open_window_bytes> window;
+  const auto scatter = [&](std::size_t pos, std::size_t len) {
+    const std::size_t to_head = pos < h ? std::min(len, h - pos) : 0;
+    if (to_head != 0) {
+      std::memcpy(head.data() + pos, window.data(), to_head);
+    }
+    if (to_head != len) {
+      std::memcpy(body.data() + (pos + to_head - h),
+                  window.data() + to_head, len - to_head);
+    }
   };
 
-  // Whole keystream groups of the head decrypt straight into it, the
-  // group holding the head/body boundary through a stack block, and the
-  // rest straight into the body.
-  const std::size_t split = h - h % chacha20_group_bytes;
-  chacha20_xor(keys_.encryption_key, nonce, counter_at(0),
-               ciphertext.first(split), head.first(split));
-  std::array<std::uint8_t, chacha20_group_bytes> boundary{};
-  const std::size_t len = std::min(chacha20_group_bytes, end - split);
-  chacha20_xor(keys_.encryption_key, nonce, counter_at(split),
-               ciphertext.subspan(split, len),
-               std::span(boundary).first(len));
-  std::copy_n(boundary.begin(), h - split, head.begin() + split);
-  std::copy(boundary.begin() + (h - split), boundary.begin() + len,
-            body.begin());
-  const std::size_t rest = split + len;
-  chacha20_xor(keys_.encryption_key, nonce, counter_at(rest),
-               ciphertext.subspan(rest, end - rest),
-               body.subspan(rest - h));
+  // First window: decrypt while the whole record is hashed, then check
+  // the MAC before any output byte is written. Bytes past the window
+  // are decrypted afterwards, a window at a time.
+  with_lanes([&]<int L>(lanes<L>) __attribute__((always_inline)) {
+    using kernel = chacha_lanes<L>;
+    const std::size_t first = std::min(end, open_window_bytes);
+    const std::size_t groups =
+        std::max<std::size_t>(1, (first + kernel::group_bytes - 1) /
+                                     kernel::group_bytes);
+    mac_pass mac{sip_stream(keys_.mac_key, sealed.data(), mac_bytes),
+                 mac_bytes, mac_budget<L>(mac_bytes, groups)};
+    kernel::stream(keys_.encryption_key, nonce, first_payload_block,
+                   ciphertext, window.data(), first, mac);
+    if (mac.sip.finish() != stored_tag) {
+      throw crypto_error("MAC verification failed: block tampered or corrupt");
+    }
+    scatter(0, first);
+    no_side_work none;
+    for (std::size_t pos = first; pos < end; pos += open_window_bytes) {
+      const std::size_t len = std::min(end - pos, open_window_bytes);
+      kernel::stream(keys_.encryption_key, nonce,
+                     static_cast<std::uint32_t>(first_payload_block + pos / 64),
+                     ciphertext + pos, window.data(), len, none);
+      scatter(pos, len);
+    }
+  });
 }
 
 }  // namespace horam::crypto

@@ -10,6 +10,14 @@
 // spans and allocate nothing. Each may run in place: the plaintext may
 // be the very bytes at sealed offset seal_nonce_bytes, so a record can
 // be filled with its plaintext and sealed where it lies.
+//
+// Each direction is one pass over the record: SipHash runs as side work
+// of the ChaCha20 kernel (crypto/chacha_lanes.h). seal() hashes the
+// ciphertext of one keystream group while the next group's keystream is
+// computed. open() hashes the whole record while it decrypts the first
+// 1088 bytes (a 1 KiB-payload record) into a stack window, checks the
+// MAC, and only then writes any output byte; bytes past the window are
+// decrypted after the check.
 #ifndef HORAM_CRYPTO_SEAL_H
 #define HORAM_CRYPTO_SEAL_H
 
@@ -59,7 +67,7 @@ class block_sealer {
   /// `sealed` or exactly its ciphertext bytes (in-place opening). The MAC
   /// is verified before any byte is written. Throws crypto_error if the
   /// MAC check fails (tampering) or the buffer is malformed, and
-  /// contract_error on a wrongly sized output.
+  /// contract_error on a wrongly sized or partially overlapping output.
   void open(std::span<const std::uint8_t> sealed,
             std::span<std::uint8_t> plaintext_out) const;
 

@@ -7,6 +7,18 @@
 
 namespace horam::oram {
 
+namespace {
+
+thread_local detail::codec_key_log* active_key_log = nullptr;
+
+}  // namespace
+
+detail::codec_key_log::codec_key_log() : outer_(active_key_log) {
+  active_key_log = this;
+}
+
+detail::codec_key_log::~codec_key_log() { active_key_log = outer_; }
+
 block_codec::block_codec(std::size_t payload_bytes, bool seal,
                          std::uint64_t key_seed)
     : payload_bytes_(payload_bytes),
@@ -15,6 +27,11 @@ block_codec::block_codec(std::size_t payload_bytes, bool seal,
                     (seal ? crypto::seal_overhead : 0)),
       sealer_(crypto::derive_seal_keys(key_seed)) {
   expects(payload_bytes > 0, "payload must be non-empty");
+  if (seal && active_key_log != nullptr) {
+    active_key_log->fingerprints_.push_back(crypto::siphash24(
+        crypto::siphash_key{},
+        crypto::derive_seal_keys(key_seed).encryption_key));
+  }
 }
 
 void block_codec::encode(block_id id, std::span<const std::uint8_t> payload,

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "crypto/seal.h"
 #include "oram/common/types.h"
@@ -63,6 +64,33 @@ class block_codec {
   std::size_t record_bytes_;
   crypto::block_sealer sealer_;
 };
+
+namespace detail {
+
+/// For tests: while alive, collects a fingerprint of the encryption key
+/// of every sealing block_codec constructed on the calling thread.
+/// Every sealer's nonce counter starts at 0, so two codecs with equal
+/// fingerprints would reuse ChaCha20 keystream.
+class codec_key_log {
+ public:
+  codec_key_log();
+  ~codec_key_log();
+  codec_key_log(const codec_key_log&) = delete;
+  codec_key_log& operator=(const codec_key_log&) = delete;
+
+  [[nodiscard]] const std::vector<std::uint64_t>& fingerprints()
+      const noexcept {
+    return fingerprints_;
+  }
+
+ private:
+  friend class oram::block_codec;
+
+  codec_key_log* outer_;
+  std::vector<std::uint64_t> fingerprints_;
+};
+
+}  // namespace detail
 
 }  // namespace horam::oram
 

@@ -3,7 +3,7 @@
 // counter wrap), SipHash against the reference-implementation vectors
 // and a byte-wise reference, sealing round trips, in-place sealing,
 // tamper detection and pinned wire bytes, CSPRNG behaviour and pinned
-// output.
+// output. The *Lanes suites run at every kernel width the host has.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,6 +14,7 @@
 #include "crypto/chacha20.h"
 #include "crypto/seal.h"
 #include "crypto/siphash.h"
+#include "lane_widths.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -234,19 +235,27 @@ TEST(ChaCha20, BlockMatchesReferenceAcrossCounters) {
   }
 }
 
-// Every length 0..1100 covers every tail size past a 256-byte group;
-// counter 0xFFFFFFFD makes the four lanes of the first group wrap.
-TEST(ChaCha20, XorMatchesReferenceForEveryLengthAndCounter) {
+using ChaCha20Lanes = test::lane_width_test;
+INSTANTIATE_TEST_SUITE_P(Widths, ChaCha20Lanes, test::lane_widths(),
+                         test::lane_width_name);
+
+// Every length 0..2200 covers every tail size past two 16-lane groups;
+// counters 0xFFFFFFFD and 0xFFFFFFF1 make the lanes of the first group
+// wrap at every width.
+TEST_P(ChaCha20Lanes, XorMatchesReferenceForEveryLengthAndCounter) {
   const chacha_key key = rfc_key();
   const chacha_nonce nonce = {0x00, 0x00, 0x00, 0x09, 0x00, 0x00,
                               0x00, 0x4a, 0x00, 0x00, 0x00, 0x07};
-  const std::vector<std::uint8_t> source = pattern(1100, 31, 7);
-  for (const std::uint32_t counter : {0u, 1u, 0xFFFFFFFDu}) {
+  const std::vector<std::uint8_t> source = pattern(2200, 31, 7);
+  for (const std::uint32_t counter : {0u, 1u, 0xFFFFFFFDu, 0xFFFFFFF1u}) {
+    // Every length is a prefix of one reference stream.
+    const std::vector<std::uint8_t> reference =
+        ref_xor(key, nonce, counter, source);
     for (std::size_t size = 0; size <= source.size(); ++size) {
       const std::vector<std::uint8_t> plain(source.begin(),
                                             source.begin() + size);
-      const std::vector<std::uint8_t> expected =
-          ref_xor(key, nonce, counter, plain);
+      const std::vector<std::uint8_t> expected(reference.begin(),
+                                               reference.begin() + size);
 
       std::vector<std::uint8_t> in_place = plain;
       chacha20_xor(key, nonce, counter, in_place);
@@ -261,18 +270,18 @@ TEST(ChaCha20, XorMatchesReferenceForEveryLengthAndCounter) {
   }
 }
 
-TEST(ChaCha20, MisalignedBuffersMatchReference) {
+TEST_P(ChaCha20Lanes, MisalignedBuffersMatchReference) {
   const chacha_key key = rfc_key();
   const chacha_nonce nonce{};
-  constexpr std::size_t size = 700;  // two full groups and a tail
+  constexpr std::size_t size = 2100;  // two 16-lane groups and a tail
   const std::vector<std::uint8_t> plain = pattern(size, 13, 1);
   const std::vector<std::uint8_t> expected = ref_xor(key, nonce, 5, plain);
-  std::vector<std::uint8_t> in_buffer(size + 16), out_buffer(size + 16);
-  for (std::size_t shift = 1; shift < 16; ++shift) {
+  std::vector<std::uint8_t> in_buffer(size + 64), out_buffer(size + 64);
+  for (std::size_t shift = 1; shift < 64; ++shift) {
     std::memcpy(in_buffer.data() + shift, plain.data(), size);
     const std::span<std::uint8_t> in(in_buffer.data() + shift, size);
-    // Copy form: input misaligned by `shift`, output by 16 - shift.
-    const std::span<std::uint8_t> out(out_buffer.data() + 16 - shift, size);
+    // Copy form: input misaligned by `shift`, output by 64 - shift.
+    const std::span<std::uint8_t> out(out_buffer.data() + 64 - shift, size);
     chacha20_xor(key, nonce, 5, in, out);
     EXPECT_EQ(std::memcmp(out.data(), expected.data(), size), 0)
         << "copy, shift " << shift;
@@ -437,15 +446,6 @@ TEST(Seal, WrongKeyRejected) {
   EXPECT_THROW(open_copy(mallory, sealed), crypto_error);
 }
 
-TEST(Seal, RejectedOpenLeavesOutputUntouched) {
-  block_sealer sealer(derive_seal_keys(10));
-  auto sealed = seal_copy(sealer, std::vector<std::uint8_t>(300, 6));
-  sealed[200] ^= 0x10;
-  std::vector<std::uint8_t> out(300, 0xab);
-  EXPECT_THROW(sealer.open(sealed, out), crypto_error);
-  EXPECT_EQ(out, std::vector<std::uint8_t>(300, 0xab));
-}
-
 TEST(Seal, EmptyishAndLargePayloads) {
   block_sealer sealer(derive_seal_keys(9));
   for (const std::size_t size : {0u, 1u, 63u, 64u, 65u, 255u, 256u, 257u,
@@ -453,55 +453,6 @@ TEST(Seal, EmptyishAndLargePayloads) {
     std::vector<std::uint8_t> plaintext(size, 0xcd);
     EXPECT_EQ(open_copy(sealer, seal_copy(sealer, plaintext)), plaintext)
         << "payload size " << size;
-  }
-}
-
-TEST(Seal, InPlaceMatchesCopyForm) {
-  // Two sealers with the same keys draw the same nonces, so in-place and
-  // copy-form seals of the same plaintext must give the same bytes.
-  for (const std::size_t size : {0u, 8u, 100u, 256u, 1032u}) {
-    block_sealer copy_sealer(derive_seal_keys(11));
-    block_sealer in_place_sealer(derive_seal_keys(11));
-    const std::vector<std::uint8_t> plaintext = pattern(size, 5, 9);
-    const auto expected = seal_copy(copy_sealer, plaintext);
-
-    std::vector<std::uint8_t> record(size + seal_overhead, 0);
-    const std::span<std::uint8_t> body =
-        std::span(record).subspan(seal_nonce_bytes, size);
-    std::copy(plaintext.begin(), plaintext.end(), body.begin());
-    in_place_sealer.seal(body, record);
-    EXPECT_EQ(record, expected) << "size " << size;
-
-    // Open in place: the plaintext replaces the ciphertext.
-    in_place_sealer.open(record, body);
-    EXPECT_TRUE(std::equal(body.begin(), body.end(), plaintext.begin()))
-        << "size " << size;
-  }
-}
-
-TEST(Seal, ScatterOpenSplitsPlaintext) {
-  block_sealer sealer(derive_seal_keys(12));
-  for (const std::size_t size : {8u, 72u, 264u, 600u, 1032u}) {
-    const std::vector<std::uint8_t> plaintext = pattern(size, 17, 2);
-    const auto sealed = seal_copy(sealer, plaintext);
-    for (const std::size_t h : {std::size_t{0}, std::size_t{8},
-                                std::size_t{255}, std::size_t{256},
-                                std::size_t{300}, size}) {
-      if (h > size) {
-        continue;
-      }
-      std::vector<std::uint8_t> head(h), body(size - h);
-      sealer.open(sealed, head, body);
-      EXPECT_TRUE(std::equal(head.begin(), head.end(), plaintext.begin()))
-          << "size " << size << ", head " << h;
-      EXPECT_TRUE(std::equal(body.begin(), body.end(), plaintext.begin() + h))
-          << "size " << size << ", head " << h;
-
-      // Head only: the body stays unwritten, the MAC is still checked.
-      std::vector<std::uint8_t> head_only(h);
-      sealer.open(sealed, head_only, {});
-      EXPECT_EQ(head_only, head) << "size " << size << ", head " << h;
-    }
   }
 }
 
@@ -525,11 +476,118 @@ TEST(Seal, WrongSizeSpansRejected) {
   std::vector<std::uint8_t> record(40 + seal_overhead);
   EXPECT_THROW(sealer.seal(std::span(record).first(40), record),
                contract_error);
+  // Nor is an open() output that does.
+  record = sealed;
+  EXPECT_THROW(sealer.open(record, std::span(record).first(40)),
+               contract_error);
+  EXPECT_THROW(sealer.open(record, std::span(record).subspan(12, 8),
+                           std::span(record).subspan(19, 32)),
+               contract_error);
+}
+
+using SealLanes = test::lane_width_test;
+INSTANTIATE_TEST_SUITE_P(Widths, SealLanes, test::lane_widths(),
+                         test::lane_width_name);
+
+TEST_P(SealLanes, InPlaceMatchesCopyForm) {
+  // Two sealers with the same keys draw the same nonces, so in-place and
+  // copy-form seals of the same plaintext must give the same bytes.
+  for (const std::size_t size : {0u, 8u, 100u, 256u, 1032u, 2200u}) {
+    block_sealer copy_sealer(derive_seal_keys(11));
+    block_sealer in_place_sealer(derive_seal_keys(11));
+    const std::vector<std::uint8_t> plaintext = pattern(size, 5, 9);
+    const auto expected = seal_copy(copy_sealer, plaintext);
+
+    std::vector<std::uint8_t> record(size + seal_overhead, 0);
+    const std::span<std::uint8_t> body =
+        std::span(record).subspan(seal_nonce_bytes, size);
+    std::copy(plaintext.begin(), plaintext.end(), body.begin());
+    in_place_sealer.seal(body, record);
+    EXPECT_EQ(record, expected) << "size " << size;
+
+    // Open in place: the plaintext replaces the ciphertext.
+    in_place_sealer.open(record, body);
+    EXPECT_TRUE(std::equal(body.begin(), body.end(), plaintext.begin()))
+        << "size " << size;
+  }
+}
+
+// Sizes and heads on both sides of open()'s 1088-byte window.
+TEST_P(SealLanes, ScatterOpenSplitsPlaintext) {
+  block_sealer sealer(derive_seal_keys(12));
+  for (const std::size_t size : {8u, 72u, 264u, 600u, 1032u, 2200u}) {
+    const std::vector<std::uint8_t> plaintext = pattern(size, 17, 2);
+    const auto sealed = seal_copy(sealer, plaintext);
+    for (const std::size_t h : {std::size_t{0}, std::size_t{8},
+                                std::size_t{255}, std::size_t{256},
+                                std::size_t{300}, std::size_t{1100},
+                                std::size_t{1500}, size}) {
+      if (h > size) {
+        continue;
+      }
+      std::vector<std::uint8_t> head(h), body(size - h);
+      sealer.open(sealed, head, body);
+      EXPECT_TRUE(std::equal(head.begin(), head.end(), plaintext.begin()))
+          << "size " << size << ", head " << h;
+      EXPECT_TRUE(std::equal(body.begin(), body.end(), plaintext.begin() + h))
+          << "size " << size << ", head " << h;
+
+      // Head only: the body stays unwritten, the MAC is still checked.
+      std::vector<std::uint8_t> head_only(h);
+      sealer.open(sealed, head_only, {});
+      EXPECT_EQ(head_only, head) << "size " << size << ", head " << h;
+
+      // Both spans in place over the ciphertext.
+      std::vector<std::uint8_t> record = sealed;
+      const std::span<std::uint8_t> text =
+          std::span(record).subspan(seal_nonce_bytes, size);
+      sealer.open(record, text.first(h), text.subspan(h));
+      EXPECT_TRUE(std::equal(text.begin(), text.end(), plaintext.begin()))
+          << "in place, size " << size << ", head " << h;
+    }
+  }
+}
+
+// A flip in the nonce, in any keystream group or in the tag fails the
+// MAC, and no output byte is written: not into a separate buffer, not
+// into a scatter pair, not over the ciphertext when opening in place.
+TEST_P(SealLanes, TamperedOpenLeavesOutputUntouched) {
+  block_sealer sealer(derive_seal_keys(10));
+  constexpr std::size_t size = 2200;
+  const auto sealed = seal_copy(sealer, pattern(size, 3, 6));
+  const std::size_t group_bytes = 64 * GetParam();
+  std::vector<std::size_t> flips = {0, 11, sealed.size() - 1};
+  for (std::size_t offset = 0; offset < size; offset += group_bytes) {
+    flips.push_back(seal_nonce_bytes + offset);
+    flips.push_back(seal_nonce_bytes + std::min(size, offset + group_bytes) -
+                    1);
+  }
+  for (const std::size_t at : flips) {
+    auto tampered = sealed;
+    tampered[at] ^= 0x10;
+    std::vector<std::uint8_t> out(size, 0xab);
+    EXPECT_THROW(sealer.open(tampered, out), crypto_error) << "byte " << at;
+    EXPECT_EQ(out, std::vector<std::uint8_t>(size, 0xab)) << "byte " << at;
+
+    std::vector<std::uint8_t> head(8, 0xcd), body(size - 8, 0xef);
+    EXPECT_THROW(sealer.open(tampered, head, body), crypto_error)
+        << "byte " << at;
+    EXPECT_EQ(head, std::vector<std::uint8_t>(8, 0xcd)) << "byte " << at;
+    EXPECT_EQ(body, std::vector<std::uint8_t>(size - 8, 0xef))
+        << "byte " << at;
+
+    auto record = tampered;
+    EXPECT_THROW(sealer.open(record, std::span(record).subspan(
+                                         seal_nonce_bytes, size)),
+                 crypto_error)
+        << "byte " << at;
+    EXPECT_EQ(record, tampered) << "byte " << at;
+  }
 }
 
 // Captured before the vectorised kernel replaced the one-block scalar
 // one: the bytes on the wire must not change.
-TEST(Seal, GoldenSealedRecord) {
+TEST_P(SealLanes, GoldenSealedRecord) {
   block_sealer sealer(derive_seal_keys(2019));
   const std::vector<std::uint8_t> plaintext = pattern(40, 11, 3);
   std::vector<std::uint8_t> sealed;
@@ -586,9 +644,13 @@ TEST(ChaChaRng, BitsLookBalanced) {
   EXPECT_NEAR(fraction, 0.5, 0.005);
 }
 
-// Captured when the generator drew one keystream block per refill; four
-// blocks per refill must yield the same stream in the same order.
-TEST(ChaChaRng, PinnedOutputs) {
+using ChaChaRngLanes = test::lane_width_test;
+INSTANTIATE_TEST_SUITE_P(Widths, ChaChaRngLanes, test::lane_widths(),
+                         test::lane_width_name);
+
+// Captured when the generator drew one keystream block per refill;
+// sixteen blocks per refill must yield the same stream in the same order.
+TEST_P(ChaChaRngLanes, PinnedOutputs) {
   const std::uint64_t seed_2019[256] = {
       0x803a72781c4d2b8cULL, 0x18144a2df78b8875ULL, 0xf5d719b03e1eb337ULL,
       0x7fafc1cfd2f08b1bULL, 0x3d7fbedadd1449deULL, 0x5094be4c4f74b888ULL,

@@ -16,6 +16,7 @@
 
 #include "analysis/obliviousness.h"
 #include "horam.h"
+#include "oram/common/block_codec.h"
 #include "test_support.h"
 #include "util/rng.h"
 
@@ -210,6 +211,55 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(backend_name(info.param.backend)) + "_x" +
              std::to_string(info.param.shards);
     });
+
+// ------------------------------------------- seal keys across codecs
+
+struct key_grid_point {
+  backend_kind backend;
+  std::uint32_t shards;
+  runtime_policy runtime;
+};
+
+class EngineSealKeys : public ::testing::TestWithParam<key_grid_point> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendShardsRuntime, EngineSealKeys,
+    ::testing::ValuesIn([] {
+      std::vector<key_grid_point> grid;
+      for (const backend_kind kind : all_backend_kinds) {
+        for (const std::uint32_t shards : {1u, 4u}) {
+          for (const runtime_policy runtime : all_runtime_policies) {
+            grid.push_back(key_grid_point{kind, shards, runtime});
+          }
+        }
+      }
+      return grid;
+    }()),
+    [](const ::testing::TestParamInfo<key_grid_point>& info) {
+      return std::string(backend_name(info.param.backend)) + "_x" +
+             std::to_string(info.param.shards) + "_" +
+             std::string(runtime_policy_name(info.param.runtime));
+    });
+
+/// Every sealer starts its nonce counter at 0, so two codecs of one
+/// engine under the same key would encrypt different records with the
+/// same ChaCha20 keystream. No two sealing codecs may share a key, in
+/// any shard, backend or runtime.
+TEST_P(EngineSealKeys, NoTwoCodecsShareSealKeys) {
+  oram::detail::codec_key_log log;
+  client oram = engine_builder(GetParam().shards)
+                    .backend(GetParam().backend)
+                    .runtime(GetParam().runtime)
+                    .seal(true)
+                    .build();
+  oram.write(1, tagged(1));
+  const std::vector<std::uint64_t>& keys = log.fingerprints();
+  // At least the controller's memory tree and one backend store each.
+  ASSERT_GE(keys.size(), 2u * GetParam().shards);
+  const std::set<std::uint64_t> distinct(keys.begin(), keys.end());
+  EXPECT_EQ(distinct.size(), keys.size())
+      << keys.size() - distinct.size() << " codecs reuse another's keys";
+}
 
 /// Differential replay against a std::map oracle: payload correctness
 /// must survive routing, padding and per-shard shuffle periods.

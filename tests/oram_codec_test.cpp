@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "lane_widths.h"
 #include "oram/common/block_codec.h"
 #include "oram/common/position_map.h"
 #include "oram/common/stash.h"
@@ -85,7 +86,11 @@ TEST(Codec, PlainDecodeNeedsNoAllocation) {
   EXPECT_EQ(codec.decode(record, out), 77u);
 }
 
-TEST(Codec, GoldenSealedRecord) {
+using CodecLanes = test::lane_width_test;
+INSTANTIATE_TEST_SUITE_P(Widths, CodecLanes, test::lane_widths(),
+                         test::lane_width_name);
+
+TEST_P(CodecLanes, GoldenSealedRecord) {
   // Captured before sealing moved into the record buffer: the bytes on
   // the wire (nonce counter 1, key seed 2019) must not change.
   block_codec codec(64, true, 2019);

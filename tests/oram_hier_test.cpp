@@ -6,6 +6,7 @@
 // and through bounded incremental steps.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 #include <vector>
@@ -52,6 +53,16 @@ std::vector<std::uint8_t> tagged(block_id id) {
 
 // --------------------------------------------------------- feistel_prp
 
+/// A PRP key with all 16 bytes drawn from `rng`.
+crypto::siphash_key random_key(util::pcg64& rng) {
+  crypto::siphash_key key;
+  for (std::size_t i = 0; i < key.size(); i += 8) {
+    const std::uint64_t word = rng.next_u64();
+    std::memcpy(key.data() + i, &word, sizeof word);
+  }
+  return key;
+}
+
 TEST(FeistelPrp, BijectionOverAwkwardDomains) {
   util::pcg64 rng{test::seed(502)};
   // Odd, prime, power-of-two and tiny domains: forward must be a
@@ -59,7 +70,7 @@ TEST(FeistelPrp, BijectionOverAwkwardDomains) {
   // handles the non-power-of-two sizes).
   for (const std::uint64_t domain : {1ull, 2ull, 3ull, 17ull, 64ull,
                                      100ull, 257ull, 1000ull}) {
-    const crypto::siphash_key key{rng.next_u64(), rng.next_u64()};
+    const crypto::siphash_key key = random_key(rng);
     feistel_prp prp(domain, key);
     std::set<std::uint64_t> seen;
     for (std::uint64_t rank = 0; rank < domain; ++rank) {
@@ -74,8 +85,8 @@ TEST(FeistelPrp, BijectionOverAwkwardDomains) {
 
 TEST(FeistelPrp, KeyedPermutationsDiffer) {
   util::pcg64 rng{test::seed(503)};
-  const crypto::siphash_key a{rng.next_u64(), rng.next_u64()};
-  const crypto::siphash_key b{rng.next_u64(), rng.next_u64()};
+  const crypto::siphash_key a = random_key(rng);
+  const crypto::siphash_key b = random_key(rng);
   feistel_prp prp_a(256, a);
   feistel_prp prp_b(256, b);
   std::uint64_t agreements = 0;
