@@ -13,7 +13,15 @@ namespace {
 /// Chunk size (records) for sequential sweeps, to bound host buffers.
 constexpr std::uint64_t sweep_chunk_records = 1 << 14;
 
+thread_local detail::path_store_log* active_store_log = nullptr;
+
 }  // namespace
+
+detail::path_store_log::path_store_log() : outer_(active_store_log) {
+  active_store_log = this;
+}
+
+detail::path_store_log::~path_store_log() { active_store_log = outer_; }
 
 path_oram::path_oram(const path_oram_config& config,
                      sim::block_device& memory_device,
@@ -78,6 +86,9 @@ path_oram::path_oram(const path_oram_config& config,
   payload_scratch_.resize(config.payload_bytes);
   path_window_.resize(static_cast<std::size_t>(level_count_) *
                       config.bucket_size * codec_.record_bytes());
+  if (active_store_log != nullptr) {
+    active_store_log->trees_.push_back({memory_store_.get(), io_store_.get()});
+  }
 
   // Start with a physically dummy-filled tree.
   reset();

@@ -285,6 +285,38 @@ class path_oram {
   std::vector<std::vector<std::uint8_t>> segment_buffers_;
 };
 
+namespace detail {
+
+/// For tests: while alive, collects the record stores of every
+/// path_oram constructed on the calling thread, so a test can read the
+/// tree's sealed records or corrupt one in place. The stores belong to
+/// the tree and die with it.
+class path_store_log {
+ public:
+  /// One tree's stores; null where the tree has no level on that lane.
+  struct stores {
+    storage::block_store* memory = nullptr;
+    storage::block_store* io = nullptr;
+  };
+
+  path_store_log();
+  ~path_store_log();
+  path_store_log(const path_store_log&) = delete;
+  path_store_log& operator=(const path_store_log&) = delete;
+
+  [[nodiscard]] const std::vector<stores>& trees() const noexcept {
+    return trees_;
+  }
+
+ private:
+  friend class oram::path_oram;
+
+  path_store_log* outer_;
+  std::vector<stores> trees_;
+};
+
+}  // namespace detail
+
 }  // namespace horam::oram
 
 #endif  // HORAM_ORAM_PATH_PATH_ORAM_H

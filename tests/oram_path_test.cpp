@@ -8,6 +8,8 @@
 #include <unordered_map>
 
 #include "analysis/pattern_audit.h"
+#include "crypto/siphash.h"
+#include "lane_widths.h"
 #include "oram/path/path_oram.h"
 #include "sim/profiles.h"
 #include "util/rng.h"
@@ -286,6 +288,121 @@ TEST(PathOram, TamperedTreeRecordDetected) {
   std::vector<std::uint8_t> out(16);
   EXPECT_THROW(codec.decode(record, out), crypto::crypto_error);
 }
+
+// ------------------------------------------------------- golden images
+
+/// SipHash digest of everything a fixed-seed run of the tree writes:
+/// the sealed store images after bulk build, accesses, eviction and
+/// reset, plus every payload the run reads back. Two memory levels and
+/// four storage levels of 1 KiB-payload records, so both lanes and
+/// (under `page`) two segment groups are covered.
+std::uint64_t golden_digest(storage::storage_layout layout) {
+  sim::block_device memory{sim::dram_ddr4()};
+  sim::block_device disk{sim::hdd_paper()};
+  const sim::cpu_model cpu{sim::cpu_aesni()};
+  util::pcg64 rng{2019};
+  path_oram_config config;
+  config.leaf_count = 32;
+  config.bucket_size = 4;
+  config.payload_bytes = 1024;
+  config.id_universe = 256;
+  config.memory_levels = 2;
+  config.layout = layout;
+  config.page_bytes = 16384;
+  detail::path_store_log log;
+  path_oram oram(config, memory, &disk, cpu, rng, nullptr);
+
+  std::vector<std::uint8_t> transcript;
+  const auto append = [&](std::span<const std::uint8_t> bytes) {
+    transcript.insert(transcript.end(), bytes.begin(), bytes.end());
+  };
+  const auto append_images = [&] {
+    for (const storage::block_store* store :
+         {log.trees()[0].memory, log.trees()[0].io}) {
+      for (std::uint64_t slot = 0; slot < store->slot_count(); ++slot) {
+        append(store->peek(slot));
+      }
+    }
+  };
+  const auto payload = [](std::uint64_t seed) {
+    std::vector<std::uint8_t> bytes(1024);
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<std::uint8_t>(seed * 131 + i * 7);
+    }
+    return bytes;
+  };
+
+  oram.initialize_full(100, [&](block_id id, std::span<std::uint8_t> out) {
+    const auto bytes = payload(id);
+    std::copy(bytes.begin(), bytes.end(), out.begin());
+  });
+  append_images();
+
+  util::pcg64 driver(31);
+  std::vector<std::uint8_t> out(1024);
+  for (int step = 0; step < 200; ++step) {
+    const block_id id = util::uniform_below(driver, 160);
+    switch (util::uniform_below(driver, 5)) {
+      case 0:
+        oram.access(op_kind::write, id, payload(1000 + step), {});
+        break;
+      case 1:
+        oram.access(op_kind::read, id, {}, out);
+        append(out);
+        break;
+      case 2:
+        oram.dummy_access();
+        break;
+      case 3:
+        oram.access_rmw(id, [](std::span<std::uint8_t> bytes) { ++bytes[0]; });
+        break;
+      default:
+        if (oram.contains(id)) {
+          oram.extract(id, out);
+          append(out);
+          oram.install(id, out);
+        }
+        break;
+    }
+  }
+  append_images();
+
+  std::vector<evicted_block> evicted;
+  oram.evict_all(evicted);
+  for (const evicted_block& block : evicted) {
+    for (int i = 0; i < 8; ++i) {
+      transcript.push_back(static_cast<std::uint8_t>(block.id >> (8 * i)));
+    }
+    append(block.payload);
+  }
+  oram.reset();
+  append_images();
+  for (std::size_t i = 0; i < 20 && i < evicted.size(); ++i) {
+    oram.install(evicted[i].id, evicted[i].payload);
+    oram.dummy_access();
+  }
+  append_images();
+  return crypto::siphash24(crypto::siphash_key{}, transcript);
+}
+
+// The digests were recorded with one-record-at-a-time sealing; any
+// change to the bytes a path write-back, bulk build, eviction or reset
+// stores (nonce order, keystream, MAC) changes them. Every kernel width
+// must reproduce them.
+using PathOramGolden = test::lane_width_test;
+
+TEST_P(PathOramGolden, FlatLayoutImagesMatchRecordedDigest) {
+  EXPECT_EQ(golden_digest(storage::storage_layout::flat),
+            0x05bd3f2898c7dfeaULL);
+}
+
+TEST_P(PathOramGolden, PageLayoutImagesMatchRecordedDigest) {
+  EXPECT_EQ(golden_digest(storage::storage_layout::page),
+            0x0071cc1f5d2f8756ULL);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, PathOramGolden, test::lane_widths(),
+                         test::lane_width_name);
 
 // ------------------------------------------------- tree-top-cache split
 
