@@ -79,7 +79,11 @@ storage_layer::storage_layer(
   const std::vector<std::uint64_t> order =
       util::random_permutation(rng_, config_.block_count);
   std::vector<std::uint8_t> image(main_capacity * codec_.record_bytes());
-  std::vector<std::uint8_t> payload(config_.payload_bytes, 0);
+  // Payloads of one codec batch: records are sealed a batch at a time,
+  // in slot order.
+  constexpr std::uint64_t batch_records = 256;
+  std::vector<std::uint8_t> payloads(batch_records * config_.payload_bytes);
+  std::vector<oram::block_codec::block_ref> refs;
   std::uint64_t cursor = 0;
   for (std::uint64_t p = 0; p < partitions; ++p) {
     const std::uint64_t count =
@@ -93,23 +97,32 @@ storage_layer::storage_layer(
       slot_block[slots[k]] = id;
     }
     cursor += count;
-    for (std::uint64_t i = 0; i < main_capacity; ++i) {
-      const std::span<std::uint8_t> record(
-          image.data() + i * codec_.record_bytes(), codec_.record_bytes());
-      const oram::block_id id = slot_block[i];
-      if (id == oram::dummy_block_id) {
-        codec_.encode_dummy(record);
-        continue;
+    for (std::uint64_t first = 0; first < main_capacity;
+         first += batch_records) {
+      const std::uint64_t n = std::min(batch_records, main_capacity - first);
+      refs.assign(n, {});
+      for (std::uint64_t j = 0; j < n; ++j) {
+        const std::uint64_t i = first + j;
+        const oram::block_id id = slot_block[i];
+        if (id == oram::dummy_block_id) {
+          continue;
+        }
+        const std::span<std::uint8_t> payload =
+            std::span(payloads).subspan(j * config_.payload_bytes,
+                                        config_.payload_bytes);
+        std::fill(payload.begin(), payload.end(), 0);
+        if (filler != nullptr) {
+          (*filler)(id, payload);
+        }
+        refs[j] = {id, payload};
+        contents_[p][i] = id;
+        locations_[id] = location{residence::main_slot,
+                                  static_cast<std::uint32_t>(p),
+                                  static_cast<std::uint32_t>(i)};
       }
-      std::fill(payload.begin(), payload.end(), 0);
-      if (filler != nullptr) {
-        (*filler)(id, payload);
-      }
-      codec_.encode(id, payload, record);
-      contents_[p][i] = id;
-      locations_[id] = location{residence::main_slot,
-                                static_cast<std::uint32_t>(p),
-                                static_cast<std::uint32_t>(i)};
+      codec_.encode_many(
+          refs, std::span(image).subspan(first * codec_.record_bytes(),
+                                         n * codec_.record_bytes()));
     }
     store_->write_partition(p, image);
     for (std::uint32_t i = 0; i < main_capacity; ++i) {

@@ -11,6 +11,12 @@
 // is no flag, option or environment variable: the width is a property
 // of the host, and every width yields the same bytes.
 //
+// The lanes need not share a nonce or count consecutive blocks:
+// block_group() reads each lane's counter and nonce words from its input
+// state (key_state() fills the constants and key). The batch seal uses
+// this to spread (record, block) pairs of many records over one group,
+// so a 17-block record costs 17 lanes, not two whole groups.
+//
 // Every function that touches a vector is always_inline and takes
 // vectors by reference, so vectors never cross a call between code
 // built for different targets.
@@ -93,14 +99,7 @@ struct chacha_lanes {
     // RFC 8439 input state: constants, key, counter, nonce. Lane j of the
     // counter word counts block `counter + j`, wrapping mod 2^32.
     vec state[16] = {};
-    const std::uint32_t words[4] = {0x61707865, 0x3320646e, 0x79622d32,
-                                    0x6b206574};
-    for (int i = 0; i < 4; ++i) {
-      state[i] = vec{} + words[i];
-    }
-    for (int i = 0; i < 8; ++i) {
-      state[4 + i] = vec{} + load_le32(key.data() + 4 * i);
-    }
+    key_state(key, state);
     iota(state[12], std::make_integer_sequence<std::uint32_t, L>());
     state[12] += counter;
     for (int i = 0; i < 3; ++i) {
@@ -111,20 +110,86 @@ struct chacha_lanes {
     for (std::size_t offset = 0; offset < n;
          offset += group_bytes, state[12] += L) {
       block_group(state, keystream, side, offset);
-      const std::size_t len = std::min(group_bytes, n - offset);
-      std::size_t i = 0;
-      for (; i + vec_bytes <= len; i += vec_bytes) {
-        vec v;
-        std::memcpy(&v, in + offset + i, vec_bytes);
-        v ^= keystream[i / vec_bytes];
-        std::memcpy(out + offset + i, &v, vec_bytes);
-      }
-      // Last partial vector of the stream.
-      const auto* ks = reinterpret_cast<const std::uint8_t*>(keystream);
-      for (; i < len; ++i) {
-        out[offset + i] = in[offset + i] ^ ks[i];
-      }
+      xor_bytes(reinterpret_cast<const std::uint8_t*>(keystream),
+                in + offset, out + offset, std::min(group_bytes, n - offset));
     }
+  }
+
+  /// An input state with the constants and the key in every lane. Words
+  /// 12 (block counter) and 13-15 (nonce) are zero, for the caller to
+  /// fill: lanes need not share a nonce or count consecutive blocks,
+  /// so one group can serve blocks of different records.
+  [[gnu::always_inline]] static void key_state(const chacha_key& key,
+                                               vec (&state)[16]) noexcept {
+    const std::uint32_t words[4] = {0x61707865, 0x3320646e, 0x79622d32,
+                                    0x6b206574};
+    for (int i = 0; i < 4; ++i) {
+      state[i] = vec{} + words[i];
+    }
+    for (int i = 0; i < 8; ++i) {
+      state[4 + i] = vec{} + load_le32(key.data() + 4 * i);
+    }
+    for (int i = 12; i < 16; ++i) {
+      state[i] = vec{};
+    }
+  }
+
+  /// out[0, n) = in[0, n) XOR ks[0, n): whole vectors, then 8-byte
+  /// words, then bytes. `in` may equal `out`.
+  [[gnu::always_inline]] static void xor_bytes(const std::uint8_t* ks,
+                                               const std::uint8_t* in,
+                                               std::uint8_t* out,
+                                               std::size_t n) noexcept {
+    std::size_t i = 0;
+    for (; i + vec_bytes <= n; i += vec_bytes) {
+      vec v, k;
+      std::memcpy(&v, in + i, vec_bytes);
+      std::memcpy(&k, ks + i, vec_bytes);
+      v ^= k;
+      std::memcpy(out + i, &v, vec_bytes);
+    }
+    for (; i + 8 <= n; i += 8) {
+      std::uint64_t v, k;
+      std::memcpy(&v, in + i, 8);
+      std::memcpy(&k, ks + i, 8);
+      v ^= k;
+      std::memcpy(out + i, &v, 8);
+    }
+    for (; i < n; ++i) {
+      out[i] = in[i] ^ ks[i];
+    }
+  }
+
+  /// Keystream for the L blocks whose input states are the lanes of
+  /// `state`, in memory order: out[i] holds bytes [vec_bytes · i,
+  /// vec_bytes · (i + 1)) of the group, so lane j's block is bytes
+  /// [64 · j, 64 · (j + 1)). side(done) runs side_calls times.
+  template <class Side>
+  [[gnu::always_inline]] static void block_group(const vec (&state)[16],
+                                                 vec (&out)[16], Side& side,
+                                                 std::size_t done) noexcept {
+    vec x[16];
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      x[i] = state[i];
+    }
+    for (int round = 0; round < 10; ++round) {
+      quarter_round(x[0], x[4], x[8], x[12]);
+      quarter_round(x[1], x[5], x[9], x[13]);
+      quarter_round(x[2], x[6], x[10], x[14]);
+      quarter_round(x[3], x[7], x[11], x[15]);
+      side(done);
+      quarter_round(x[0], x[5], x[10], x[15]);
+      quarter_round(x[1], x[6], x[11], x[12]);
+      quarter_round(x[2], x[7], x[8], x[13]);
+      quarter_round(x[3], x[4], x[9], x[14]);
+      side(done);
+    }
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      x[i] += state[i];
+    }
+    transpose(x, out);
   }
 
  private:
@@ -259,37 +324,6 @@ struct chacha_lanes {
       }
       swap_chunks<k + 1>(x, seq);
     }
-  }
-
-  /// Keystream for the L blocks whose input states are the lanes of
-  /// `state`, in memory order: out[i] holds bytes [vec_bytes · i,
-  /// vec_bytes · (i + 1)) of the group.
-  template <class Side>
-  [[gnu::always_inline]] static void block_group(const vec (&state)[16],
-                                                 vec (&out)[16], Side& side,
-                                                 std::size_t done) noexcept {
-    vec x[16];
-#pragma GCC unroll 16
-    for (int i = 0; i < 16; ++i) {
-      x[i] = state[i];
-    }
-    for (int round = 0; round < 10; ++round) {
-      quarter_round(x[0], x[4], x[8], x[12]);
-      quarter_round(x[1], x[5], x[9], x[13]);
-      quarter_round(x[2], x[6], x[10], x[14]);
-      quarter_round(x[3], x[7], x[11], x[15]);
-      side(done);
-      quarter_round(x[0], x[5], x[10], x[15]);
-      quarter_round(x[1], x[6], x[11], x[12]);
-      quarter_round(x[2], x[7], x[8], x[13]);
-      quarter_round(x[3], x[4], x[9], x[14]);
-      side(done);
-    }
-#pragma GCC unroll 16
-    for (int i = 0; i < 16; ++i) {
-      x[i] += state[i];
-    }
-    transpose(x, out);
   }
 };
 

@@ -56,6 +56,88 @@ std::size_t mac_budget(std::size_t bytes, std::size_t groups) {
   return (bytes / 8 + calls - 1) / calls;
 }
 
+// seal_many() works through a batch this many records at a time, so a
+// slice's ciphertext is still in cache when its MACs are computed.
+constexpr std::size_t seal_slice_records = 64;
+
+/// The keystream blocks [0, blocks) of each of `records` records, L
+/// (record, block) pairs per kernel group: calls apply(r, b, keystream)
+/// with the 64 keystream bytes of block b of record r, whose nonce is
+/// the 12 bytes at nonce_of(r). Pairs run record by record, so a
+/// 17-block record costs 17 blocks of a group, not a group and a half.
+template <int L, class Nonce, class Apply>
+[[gnu::always_inline]] inline void keystream_blocks(const chacha_key& key,
+                                                    std::size_t records,
+                                                    std::size_t blocks,
+                                                    const Nonce& nonce_of,
+                                                    const Apply& apply) {
+  using kernel = chacha_lanes<L>;
+  typename kernel::vec state[16] = {};
+  typename kernel::vec keystream[16];
+  kernel::key_state(key, state);
+  // Per lane: block counter, then the three nonce words.
+  std::uint32_t words[4][L] = {};
+  std::size_t record[L];
+  std::size_t block[L];
+  int used = 0;
+  no_side_work none;
+  const auto flush = [&]() __attribute__((always_inline)) {
+    for (int i = 0; i < 4; ++i) {
+      std::memcpy(&state[12 + i], words[i], sizeof state[0]);
+    }
+    kernel::block_group(state, keystream, none, 0);
+    const auto* ks = reinterpret_cast<const std::uint8_t*>(keystream);
+    for (int j = 0; j < used; ++j) {
+      apply(record[j], block[j], ks + 64 * j);
+    }
+    used = 0;
+  };
+  for (std::size_t r = 0; r < records; ++r) {
+    std::uint32_t nonce[3];
+    std::memcpy(nonce, nonce_of(r), sizeof nonce);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      words[0][used] = static_cast<std::uint32_t>(first_payload_block + b);
+      words[1][used] = nonce[0];
+      words[2][used] = nonce[1];
+      words[3][used] = nonce[2];
+      record[used] = r;
+      block[used] = b;
+      if (++used == L) {
+        flush();
+      }
+    }
+  }
+  if (used != 0) {
+    flush();
+  }
+}
+
+/// SipHash of the first `mac_bytes` bytes of each of `count` records
+/// laid `stride` bytes apart, sip_lanes<L>::buffers records per call of
+/// the vector core: calls on_tag(r, tag) for every record in order.
+template <int L, class OnTag>
+[[gnu::always_inline]] inline void mac_records(const siphash_key& key,
+                                               const std::uint8_t* records,
+                                               std::size_t count,
+                                               std::size_t stride,
+                                               std::size_t mac_bytes,
+                                               const OnTag& on_tag) {
+  using sip = sip_lanes<L>;
+  for (std::size_t first = 0; first < count; first += sip::buffers) {
+    const std::size_t n = std::min<std::size_t>(sip::buffers, count - first);
+    // Lanes past the last record hash this call's first one again.
+    const std::uint8_t* data[sip::buffers];
+    for (std::size_t i = 0; i < sip::buffers; ++i) {
+      data[i] = records + (first + (i < n ? i : 0)) * stride;
+    }
+    std::uint64_t tags[sip::buffers];
+    sip::hash(key, data, mac_bytes, tags);
+    for (std::size_t i = 0; i < n; ++i) {
+      on_tag(first + i, tags[i]);
+    }
+  }
+}
+
 }  // namespace
 
 seal_keys derive_seal_keys(std::uint64_t master_seed) {
@@ -101,6 +183,114 @@ void block_sealer::seal(std::span<const std::uint8_t> plaintext,
     tag = mac.sip.finish();
   });
   std::memcpy(out.data() + seal_nonce_bytes + size, &tag, sizeof tag);
+}
+
+void block_sealer::seal_many(std::span<std::uint8_t> records,
+                             std::size_t record_bytes) {
+  expects(record_bytes >= seal_overhead &&
+              records.size() % record_bytes == 0,
+          "seal_many: records must be whole records of at least "
+          "seal_overhead bytes");
+  const std::size_t count = records.size() / record_bytes;
+  const std::size_t size = record_bytes - seal_overhead;
+  const std::size_t blocks = (size + 63) / 64;
+
+  with_lanes([&]<int L>(lanes<L>) __attribute__((always_inline)) {
+    for (std::size_t first = 0; first < count; first += seal_slice_records) {
+      const std::size_t n = std::min(seal_slice_records, count - first);
+      std::uint8_t* slice = records.data() + first * record_bytes;
+      // Nonces in record order: the i-th record gets the i-th next one,
+      // as if seal() had run record by record.
+      for (std::size_t r = 0; r < n; ++r) {
+        const std::uint64_t nonce = nonce_counter_++;
+        std::uint8_t* record = slice + r * record_bytes;
+        std::memcpy(record, &nonce, sizeof nonce);
+        std::memset(record + sizeof nonce, 0, seal_nonce_bytes - sizeof nonce);
+      }
+      keystream_blocks<L>(
+          keys_.encryption_key, n, blocks,
+          [&](std::size_t r) { return slice + r * record_bytes; },
+          [&](std::size_t r, std::size_t b, const std::uint8_t* ks)
+              __attribute__((always_inline)) {
+                std::uint8_t* text =
+                    slice + r * record_bytes + seal_nonce_bytes + 64 * b;
+                chacha_lanes<L>::xor_bytes(
+                    ks, text, text, std::min<std::size_t>(64, size - 64 * b));
+              });
+      mac_records<L>(keys_.mac_key, slice, n, record_bytes,
+                     seal_nonce_bytes + size,
+                     [&](std::size_t r, std::uint64_t tag) {
+                       std::memcpy(slice + r * record_bytes +
+                                       seal_nonce_bytes + size,
+                                   &tag, sizeof tag);
+                     });
+    }
+  });
+}
+
+void block_sealer::open_many(std::span<const std::uint8_t> sealed,
+                             std::size_t record_bytes,
+                             std::span<std::uint8_t> heads,
+                             std::span<std::uint8_t> bodies) const {
+  if (record_bytes < seal_overhead) {
+    throw crypto_error("sealed buffer shorter than seal overhead");
+  }
+  expects(sealed.size() % record_bytes == 0,
+          "open_many: sealed must be whole records");
+  const std::size_t count = sealed.size() / record_bytes;
+  if (count == 0) {
+    expects(heads.empty() && bodies.empty(),
+            "open_many: output for an empty batch");
+    return;
+  }
+  const std::size_t size = record_bytes - seal_overhead;
+  const std::size_t h = heads.size() / count;
+  expects(heads.size() % count == 0 && h <= size &&
+              (bodies.empty() || bodies.size() == count * (size - h)),
+          "open_many: heads and bodies must split every plaintext");
+  expects(in_place_or_disjoint(heads, nullptr, sealed) &&
+              in_place_or_disjoint(bodies, nullptr, sealed),
+          "open_many: output overlaps the sealed records");
+  const std::size_t end = bodies.empty() ? h : size;
+  const std::size_t body_bytes = size - h;
+  const std::size_t mac_bytes = seal_nonce_bytes + size;
+
+  with_lanes([&]<int L>(lanes<L>) __attribute__((always_inline)) {
+    // Every MAC first: a failure anywhere leaves every output untouched.
+    bool authentic = true;
+    mac_records<L>(keys_.mac_key, sealed.data(), count, record_bytes,
+                   mac_bytes, [&](std::size_t r, std::uint64_t tag) {
+                     std::uint64_t stored = 0;
+                     std::memcpy(&stored,
+                                 sealed.data() + r * record_bytes + mac_bytes,
+                                 sizeof stored);
+                     authentic = authentic && stored == tag;
+                   });
+    if (!authentic) {
+      throw crypto_error("MAC verification failed: block tampered or corrupt");
+    }
+    keystream_blocks<L>(
+        keys_.encryption_key, count, (end + 63) / 64,
+        [&](std::size_t r) { return sealed.data() + r * record_bytes; },
+        [&](std::size_t r, std::size_t b, const std::uint8_t* ks)
+            __attribute__((always_inline)) {
+              const std::size_t pos = 64 * b;
+              const std::size_t len = std::min<std::size_t>(64, end - pos);
+              const std::uint8_t* text =
+                  sealed.data() + r * record_bytes + seal_nonce_bytes + pos;
+              const std::size_t to_head = pos < h ? std::min(len, h - pos) : 0;
+              if (to_head != 0) {
+                chacha_lanes<L>::xor_bytes(ks, text, heads.data() + r * h + pos,
+                                           to_head);
+              }
+              if (to_head != len) {
+                chacha_lanes<L>::xor_bytes(
+                    ks + to_head, text + to_head,
+                    bodies.data() + r * body_bytes + (pos + to_head - h),
+                    len - to_head);
+              }
+            });
+  });
 }
 
 void block_sealer::open(std::span<const std::uint8_t> sealed,

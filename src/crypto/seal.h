@@ -18,6 +18,16 @@
 // 1088 bytes (a 1 KiB-payload record) into a stack window, checks the
 // MAC, and only then writes any output byte; bytes past the window are
 // decrypted after the check.
+//
+// seal_many() and open_many() are the batch forms, for a run of
+// back-to-back records of one size such as a Path ORAM path. ChaCha20
+// kernel lanes cover (record, block) pairs across records, so a record
+// pays for its own blocks rather than whole groups, and SipHash runs one
+// record per 64-bit vector lane. seal_many() encrypts 64 records at a
+// time in place, then MACs them. open_many() follows a MAC-first rule:
+// it checks the MAC of every record in the run before it decrypts a
+// single byte, so a tampered record anywhere leaves every output as it
+// was. Both produce and accept exactly the bytes of the one-record forms.
 #ifndef HORAM_CRYPTO_SEAL_H
 #define HORAM_CRYPTO_SEAL_H
 
@@ -78,6 +88,25 @@ class block_sealer {
   void open(std::span<const std::uint8_t> sealed,
             std::span<std::uint8_t> head,
             std::span<std::uint8_t> body) const;
+
+  /// Batch form of seal(), in place: `records` holds back-to-back
+  /// records of `record_bytes` each (at least seal_overhead), each with
+  /// its plaintext at offset seal_nonce_bytes. Record i gets the i-th
+  /// next nonce, so the bytes equal those of seal() record by record.
+  /// Throws contract_error if `records` is not whole records.
+  void seal_many(std::span<std::uint8_t> records, std::size_t record_bytes);
+
+  /// Batch form of the scatter open(): `sealed` holds back-to-back
+  /// sealed records of `record_bytes` each. With size = record_bytes -
+  /// seal_overhead and h = heads.size() / record count, record i's first
+  /// h plaintext bytes go to heads[i·h, (i+1)·h) and the rest to
+  /// bodies[i·(size-h), (i+1)·(size-h)); an empty `bodies` decrypts the
+  /// heads only. Every record's MAC is checked before any output byte of
+  /// any record is written, so on crypto_error all outputs are as they
+  /// were. The outputs must not overlap `sealed` (contract_error).
+  void open_many(std::span<const std::uint8_t> sealed,
+                 std::size_t record_bytes, std::span<std::uint8_t> heads,
+                 std::span<std::uint8_t> bodies) const;
 
  private:
   seal_keys keys_;

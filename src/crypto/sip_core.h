@@ -1,4 +1,4 @@
-// SipHash-2-4 core shared by siphash24() and the fused seal/open pass
+// SipHash-2-4 cores shared by siphash24() and record sealing
 // (crypto/seal.cpp). Internal to src/crypto.
 //
 // sip_stream hashes a byte buffer whose bytes may become final a little
@@ -6,6 +6,12 @@
 // the buffer is ready, finish() takes the rest and the length word. So
 // the MAC can run inside the ChaCha20 group loop, over ciphertext the
 // kernel has just written, and still equal siphash24() of the buffer.
+//
+// sip_lanes<L> hashes equal-length buffers one per 64-bit lane of the
+// vector width of chacha_lanes<L> (2 lanes in SSE2, 4 under AVX2, 8
+// under AVX-512F), two vectors side by side. It runs inside
+// with_lanes(), like the ChaCha20 kernel, and each lane's tag equals
+// siphash24() of its buffer.
 #ifndef HORAM_CRYPTO_SIP_CORE_H
 #define HORAM_CRYPTO_SIP_CORE_H
 
@@ -13,6 +19,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "crypto/siphash.h"
 
@@ -109,6 +116,130 @@ class sip_stream {
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t words_ = 0;
+};
+
+template <int L>
+struct sip_lanes {
+  /// 64-bit lanes per vector.
+  static constexpr int width = L / 2;
+  /// Vectors hashed side by side. Each buffer's rounds form one long
+  /// dependency chain, so independent chains keep the pipeline full.
+  static constexpr int ways = 2;
+  /// Buffers hashed per call.
+  static constexpr int buffers = ways * width;
+
+  typedef std::uint64_t vec __attribute__((vector_size(4 * L)));
+  typedef std::uint32_t vec32 __attribute__((vector_size(4 * L)));
+
+  /// tags[i] = SipHash-2-4 of data[i][0, size), for i < buffers.
+  [[gnu::always_inline]] static void hash(const siphash_key& key,
+                                          const std::uint8_t* const* data,
+                                          std::size_t size,
+                                          std::uint64_t* tags) noexcept {
+    constexpr auto seq = std::make_index_sequence<width>();
+    const sip_state scalar(key);
+    vec v[ways][4];
+    for (int w = 0; w < ways; ++w) {
+      v[w][0] = vec{} + scalar.v0;
+      v[w][1] = vec{} + scalar.v1;
+      v[w][2] = vec{} + scalar.v2;
+      v[w][3] = vec{} + scalar.v3;
+    }
+    vec m[ways] = {};
+    const std::size_t words = size / 8;
+    for (std::size_t word = 0; word < words; ++word) {
+#pragma GCC unroll 4
+      for (int w = 0; w < ways; ++w) {
+        gather(m[w], data + w * width, 8 * word, seq);
+      }
+      absorb(v, m);
+    }
+    // Final word: the remaining bytes plus the length in the top byte.
+    std::uint64_t last[buffers];
+    for (int i = 0; i < buffers; ++i) {
+      std::uint64_t tail = 0;
+      std::memcpy(&tail, data[i] + 8 * words, size & 7);
+      last[i] = tail | static_cast<std::uint64_t>(size & 0xff) << 56;
+    }
+    std::memcpy(m, last, sizeof m);
+    absorb(v, m);
+    for (int w = 0; w < ways; ++w) {
+      v[w][2] ^= 0xff;
+    }
+    for (int r = 0; r < 4; ++r) {
+      round(v);
+    }
+    for (int w = 0; w < ways; ++w) {
+      const vec tag = v[w][0] ^ v[w][1] ^ v[w][2] ^ v[w][3];
+      std::memcpy(tags + w * width, &tag, sizeof tag);
+    }
+  }
+
+ private:
+  template <std::size_t... I>
+  [[gnu::always_inline]] static void gather(
+      vec& out, const std::uint8_t* const* data, std::size_t offset,
+      std::index_sequence<I...>) noexcept {
+    out = vec{load_le64(data[I] + offset)...};
+  }
+
+  template <std::size_t... I>
+  [[gnu::always_inline]] static void swap_halves(
+      vec32& v, std::index_sequence<I...>) noexcept {
+    v = __builtin_shufflevector(v, v, (I ^ 1)...);
+  }
+
+  // Rotate by 32 swaps the 32-bit halves of each lane (one pshufd)
+  // below AVX-512F, which has a 64-bit rotate for every count.
+  template <int n>
+  [[gnu::always_inline]] static void rotl(vec& v) noexcept {
+    if constexpr (n == 32 && L < 16) {
+      vec32 halves = (vec32)v;
+      swap_halves(halves, std::make_index_sequence<L>());
+      v = (vec)halves;
+    } else {
+      v = (v << n) | (v >> (64 - n));
+    }
+  }
+
+  [[gnu::always_inline]] static void round(vec (&v)[ways][4]) noexcept {
+#pragma GCC unroll 4
+    for (int w = 0; w < ways; ++w) {
+      vec& v0 = v[w][0];
+      vec& v1 = v[w][1];
+      vec& v2 = v[w][2];
+      vec& v3 = v[w][3];
+      v0 += v1;
+      rotl<13>(v1);
+      v1 ^= v0;
+      rotl<32>(v0);
+      v2 += v3;
+      rotl<16>(v3);
+      v3 ^= v2;
+      v0 += v3;
+      rotl<21>(v3);
+      v3 ^= v0;
+      v2 += v1;
+      rotl<17>(v1);
+      v1 ^= v2;
+      rotl<32>(v2);
+    }
+  }
+
+  /// Two compression rounds over one message word per buffer.
+  [[gnu::always_inline]] static void absorb(vec (&v)[ways][4],
+                                            const vec (&m)[ways]) noexcept {
+#pragma GCC unroll 4
+    for (int w = 0; w < ways; ++w) {
+      v[w][3] ^= m[w];
+    }
+    round(v);
+    round(v);
+#pragma GCC unroll 4
+    for (int w = 0; w < ways; ++w) {
+      v[w][0] ^= m[w];
+    }
+  }
 };
 
 }  // namespace horam::crypto

@@ -2,14 +2,32 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 
 #include "util/contracts.h"
 
 namespace horam::oram {
 
+static_assert(std::endian::native == std::endian::little &&
+                  sizeof(block_id) == 8,
+              "decode_many() decrypts ids straight into block_id words");
+
 namespace {
 
 thread_local detail::codec_key_log* active_key_log = nullptr;
+
+/// Writes the plaintext form id || payload || zero padding into `plain`.
+void write_plain(block_id id, std::span<const std::uint8_t> payload,
+                 std::span<std::uint8_t> plain) {
+  for (int i = 0; i < 8; ++i) {
+    plain[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(id >> (8 * i));
+  }
+  const auto tail = std::copy(payload.begin(), payload.end(),
+                              plain.begin() + 8);
+  std::fill(tail, plain.end(), std::uint8_t{0});
+}
 
 }  // namespace
 
@@ -42,13 +60,7 @@ void block_codec::encode(block_id id, std::span<const std::uint8_t> payload,
   // The plaintext is assembled where the ciphertext goes and sealed there.
   const std::span<std::uint8_t> plain = record_out.subspan(
       seal_ ? crypto::seal_nonce_bytes : 0, 8 + payload_bytes_);
-  for (int i = 0; i < 8; ++i) {
-    plain[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(id >> (8 * i));
-  }
-  const auto tail = std::copy(payload.begin(), payload.end(),
-                              plain.begin() + 8);
-  std::fill(tail, plain.end(), std::uint8_t{0});
+  write_plain(id, payload, plain);
 
   if (seal_) {
     sealer_.seal(plain, record_out.first(record_bytes_));
@@ -57,6 +69,60 @@ void block_codec::encode(block_id id, std::span<const std::uint8_t> payload,
 
 void block_codec::encode_dummy(std::span<std::uint8_t> record_out) {
   encode(dummy_block_id, {}, record_out);
+}
+
+void block_codec::encode_many(std::span<const block_ref> blocks,
+                              std::span<std::uint8_t> records_out) {
+  expects(records_out.size() == blocks.size() * record_bytes_,
+          "encode_many: one record per block");
+  const std::size_t offset = seal_ ? crypto::seal_nonce_bytes : 0;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    expects(blocks[i].payload.size() <= payload_bytes_,
+            "payload larger than block");
+    write_plain(blocks[i].id, blocks[i].payload,
+                records_out.subspan(i * record_bytes_ + offset,
+                                    8 + payload_bytes_));
+  }
+  if (seal_) {
+    sealer_.seal_many(records_out, record_bytes_);
+  }
+}
+
+void block_codec::encode_dummies(std::span<std::uint8_t> records_out) {
+  expects(records_out.size() % record_bytes_ == 0,
+          "encode_dummies: whole records only");
+  const std::size_t offset = seal_ ? crypto::seal_nonce_bytes : 0;
+  for (std::size_t at = 0; at < records_out.size(); at += record_bytes_) {
+    write_plain(dummy_block_id, {},
+                records_out.subspan(at + offset, 8 + payload_bytes_));
+  }
+  if (seal_) {
+    sealer_.seal_many(records_out, record_bytes_);
+  }
+}
+
+void block_codec::decode_many(std::span<const std::uint8_t> records,
+                              std::span<block_id> ids_out,
+                              std::span<std::uint8_t> payloads_out) const {
+  const std::size_t count = ids_out.size();
+  expects(records.size() == count * record_bytes_,
+          "decode_many: one record per id");
+  expects(payloads_out.empty() || payloads_out.size() == count * payload_bytes_,
+          "decode_many: one payload per id");
+  const std::span<std::uint8_t> ids(
+      reinterpret_cast<std::uint8_t*>(ids_out.data()), 8 * count);
+  if (seal_) {
+    sealer_.open_many(records, record_bytes_, ids, payloads_out);
+    return;
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint8_t* record = records.data() + i * record_bytes_;
+    std::memcpy(ids.data() + 8 * i, record, 8);
+    if (!payloads_out.empty()) {
+      std::memcpy(payloads_out.data() + i * payload_bytes_, record + 8,
+                  payload_bytes_);
+    }
+  }
 }
 
 block_id block_codec::decode(std::span<const std::uint8_t> record,

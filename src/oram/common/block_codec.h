@@ -14,6 +14,12 @@
 // into the record's ciphertext region and seals it in place; decode()
 // verifies the MAC over the whole record, then decrypts the id into a
 // stack word and the payload into the caller's buffer.
+//
+// encode_many() and decode_many() are the batch forms over a run of
+// back-to-back records, such as a Path ORAM path: one seal_many() or
+// open_many() call (crypto/seal.h), with the same bytes as the
+// one-record forms called in order. decode_many() checks every
+// record's MAC before it writes any id or payload.
 #ifndef HORAM_ORAM_COMMON_BLOCK_CODEC_H
 #define HORAM_ORAM_COMMON_BLOCK_CODEC_H
 
@@ -50,6 +56,33 @@ class block_codec {
 
   /// Convenience for dummy records.
   void encode_dummy(std::span<std::uint8_t> record_out);
+
+  /// One block of an encode_many() batch: dummy_block_id with an empty
+  /// payload for a dummy; a short payload is zero-padded.
+  struct block_ref {
+    block_id id = dummy_block_id;
+    std::span<const std::uint8_t> payload;
+  };
+
+  /// Encodes blocks[i] into record i of `records_out`, which holds
+  /// exactly blocks.size() back-to-back records, in one batch. Record i
+  /// takes the nonce encode() would give the i-th of the same calls, so
+  /// the bytes are identical. Payloads must not overlap `records_out`.
+  void encode_many(std::span<const block_ref> blocks,
+                   std::span<std::uint8_t> records_out);
+
+  /// Fills `records_out` (whole records) with dummy records in one
+  /// batch: the bytes of encode_dummy() on each record in order.
+  void encode_dummies(std::span<std::uint8_t> records_out);
+
+  /// Decodes ids_out.size() back-to-back records: ids_out[i] gets record
+  /// i's id and, unless `payloads_out` is empty, payloads_out[i ·
+  /// payload_bytes, (i + 1) · payload_bytes) its payload. When sealing,
+  /// every record's MAC is checked before any output is written: on
+  /// crypto::crypto_error, ids_out and payloads_out are untouched.
+  void decode_many(std::span<const std::uint8_t> records,
+                   std::span<block_id> ids_out,
+                   std::span<std::uint8_t> payloads_out) const;
 
   /// Decodes a record; returns the block id (dummy_block_id for
   /// dummies) and writes the payload into `payload_out` if non-empty

@@ -93,28 +93,32 @@ hier_backend::hier_backend(
   bottom.prp = feistel_prp(bottom.slot_count, fresh_key());
   horam::oram::trace(trace_, event_kind::storage_write_sweep, bottom.base,
                      bottom.slot_count);
+  // One codec batch per chunk, records in slot order.
   std::vector<std::uint8_t> buf;
+  std::vector<std::uint8_t> payloads(kChunkSlots * config_.payload_bytes);
+  std::vector<block_codec::block_ref> refs;
   for (std::uint64_t first = 0; first < bottom.slot_count;
        first += kChunkSlots) {
     const std::uint64_t n =
         std::min(kChunkSlots, bottom.slot_count - first);
     buf.resize(n * rec);
+    refs.assign(n, {});
     for (std::uint64_t j = 0; j < n; ++j) {
       const std::uint64_t slot = first + j;
       const std::uint64_t rank = bottom.prp.inverse(slot);
-      const std::span<std::uint8_t> out =
-          std::span(buf).subspan(j * rec, rec);
       if (rank < config_.block_count) {
-        std::fill(payload_scratch_.begin(), payload_scratch_.end(), 0);
+        const std::span<std::uint8_t> payload =
+            std::span(payloads).subspan(j * config_.payload_bytes,
+                                        config_.payload_bytes);
+        std::fill(payload.begin(), payload.end(), 0);
         if (filler != nullptr) {
-          (*filler)(rank, payload_scratch_);
+          (*filler)(rank, payload);
         }
-        codec_.encode(rank, payload_scratch_, out);
+        refs[j] = {rank, payload};
         index_.place(rank, level_count(), slot);
-      } else {
-        codec_.encode_dummy(out);
       }
     }
+    codec_.encode_many(refs, buf);
     store_->write_range(bottom.base + first, n, buf);
   }
   device.reset_stats();

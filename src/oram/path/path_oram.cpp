@@ -13,6 +13,10 @@ namespace {
 /// Chunk size (records) for sequential sweeps, to bound host buffers.
 constexpr std::uint64_t sweep_chunk_records = 1 << 14;
 
+/// Records per codec batch where a sweep decodes payloads or stages
+/// scattered records: bounds the payload and staging buffers.
+constexpr std::uint64_t codec_batch_records = 256;
+
 thread_local detail::path_store_log* active_store_log = nullptr;
 
 }  // namespace
@@ -83,9 +87,13 @@ path_oram::path_oram(const path_oram_config& config,
   }
 
   bucket_scratch_.resize(config.bucket_size * codec_.record_bytes());
-  payload_scratch_.resize(config.payload_bytes);
-  path_window_.resize(static_cast<std::size_t>(level_count_) *
-                      config.bucket_size * codec_.record_bytes());
+  const std::size_t path_records =
+      static_cast<std::size_t>(level_count_) * config.bucket_size;
+  path_window_.resize(path_records * codec_.record_bytes());
+  path_ids_.resize(path_records);
+  path_payloads_.resize(path_records * config.payload_bytes);
+  writeback_.reserve(path_records);
+  writeback_payloads_.reserve(path_records);
   if (active_store_log != nullptr) {
     active_store_log->trees_.push_back({memory_store_.get(), io_store_.get()});
   }
@@ -143,7 +151,8 @@ cost_split path_oram::write_bucket(std::uint64_t bucket,
 std::span<std::uint8_t> path_oram::window_bucket(std::uint32_t level) {
   const std::size_t bucket_bytes =
       static_cast<std::size_t>(config_.bucket_size) * codec_.record_bytes();
-  return {path_window_.data() + level * bucket_bytes, bucket_bytes};
+  return {path_window_.data() + (level_count_ - 1 - level) * bucket_bytes,
+          bucket_bytes};
 }
 
 bool path_oram::segment_valid(storage::segment_ref segment) const {
@@ -290,21 +299,23 @@ cost_split path_oram::path_access(
   const std::uint64_t z = config_.bucket_size;
   const std::size_t record_bytes = codec_.record_bytes();
 
-  // Read the path root-to-leaf into the window, then move every real
-  // block into the stash (root-to-leaf decode order).
+  // Read the path into the window and decode it as one batch: every
+  // record's MAC is checked before any block is taken. Then move every
+  // real block into the stash, root to leaf.
   cost += load_path(leaf);
+  codec_.decode_many(path_window_, path_ids_, path_payloads_);
   for (std::uint32_t level = 0; level < level_count_; ++level) {
-    const std::span<const std::uint8_t> bucket = window_bucket(level);
     for (std::uint64_t k = 0; k < z; ++k) {
-      const std::span<const std::uint8_t> record(
-          bucket.data() + k * record_bytes, record_bytes);
-      const block_id id = codec_.decode(record, payload_scratch_);
+      const std::size_t index = (level_count_ - 1 - level) * z + k;
+      const block_id id = path_ids_[index];
       if (id == dummy_block_id) {
         continue;
       }
       invariant(positions_.contains(id),
                 "tree holds a block missing from the position map");
-      stash_.put(id, positions_.leaf_of(id), payload_scratch_);
+      stash_.put(id, positions_.leaf_of(id),
+                 std::span<const std::uint8_t>(path_payloads_).subspan(
+                     index * config_.payload_bytes, config_.payload_bytes));
     }
   }
 
@@ -344,13 +355,15 @@ cost_split path_oram::path_access(
     }
   }
 
-  // Greedy write-back, deepest bucket first, composed into the window
-  // and flushed as one store_path (same device order as composing and
-  // writing level by level; under `page`, one transfer per segment).
+  // Greedy write-back, deepest bucket first. The window holds the path
+  // leaf first, so write-back order (leaf to root, slot 0..Z-1) is
+  // window order: the path is encoded as one batch and flushed as one
+  // store_path (same device order as writing level by level; under
+  // `page`, one transfer per segment). Selected payloads move out of
+  // the stash into writeback_payloads_ until the batch is sealed.
   std::vector<block_id> selected;
   for (std::uint32_t down = 0; down < level_count_; ++down) {
     const std::uint32_t level = level_count_ - 1 - down;
-    const std::span<std::uint8_t> bucket = window_bucket(level);
     selected.clear();
     for (const auto& [id, entry] : stash_) {
       if (paths_share_bucket(entry.leaf, leaf, level)) {
@@ -360,20 +373,16 @@ cost_split path_oram::path_access(
         }
       }
     }
-    for (std::uint64_t k = 0; k < z; ++k) {
-      const std::span<std::uint8_t> record(
-          bucket.data() + k * record_bytes, record_bytes);
-      if (k < selected.size()) {
-        const stash_entry& entry = stash_.at(selected[k]);
-        codec_.encode(selected[k], entry.payload, record);
-      } else {
-        codec_.encode_dummy(record);
-      }
-    }
     for (const block_id id : selected) {
+      writeback_payloads_.push_back(std::move(stash_.at(id).payload));
+      writeback_.push_back({id, writeback_payloads_.back()});
       stash_.erase(id);
     }
+    writeback_.resize(writeback_.size() + (z - selected.size()));
   }
+  codec_.encode_many(writeback_, path_window_);
+  writeback_.clear();
+  writeback_payloads_.clear();
   cost += store_path(leaf);
 
   // Control-layer cost: decrypt + re-encrypt the full path, plus map and
@@ -472,9 +481,30 @@ cost_split path_oram::evict_all(std::vector<evicted_block>& out) {
   out.clear();
 
   const std::size_t record_bytes = codec_.record_bytes();
+  const std::size_t payload_bytes = config_.payload_bytes;
 
-  // 1) Stream the whole tree (sequential sweeps) and decode.
+  // 1) Stream the whole tree (sequential sweeps) and decode in batches.
   std::vector<std::uint8_t> chunk;
+  std::vector<block_id> ids(codec_batch_records);
+  std::vector<std::uint8_t> payloads(codec_batch_records * payload_bytes);
+  const auto take_reals = [&](std::span<const std::uint8_t> records) {
+    for (std::size_t first = 0; first < records.size();
+         first += codec_batch_records * record_bytes) {
+      const std::size_t n = std::min<std::size_t>(
+          codec_batch_records, (records.size() - first) / record_bytes);
+      codec_.decode_many(records.subspan(first, n * record_bytes),
+                         std::span(ids).first(n),
+                         std::span(payloads).first(n * payload_bytes));
+      for (std::size_t k = 0; k < n; ++k) {
+        if (ids[k] == dummy_block_id) {
+          continue;
+        }
+        const auto payload =
+            std::span(payloads).subspan(k * payload_bytes, payload_bytes);
+        out.push_back(evicted_block{ids[k], {payload.begin(), payload.end()}});
+      }
+    }
+  };
   const auto sweep = [&](storage::block_store& store, bool memory_lane) {
     const std::uint64_t slots = store.slot_count();
     for (std::uint64_t first = 0; first < slots;
@@ -484,17 +514,7 @@ cost_split path_oram::evict_all(std::vector<evicted_block>& out) {
       chunk.resize(count * record_bytes);
       const sim::sim_time t = store.read_range(first, count, chunk);
       (memory_lane ? cost.memory : cost.io) += t;
-      for (std::uint64_t k = 0; k < count; ++k) {
-        const std::span<const std::uint8_t> record(
-            chunk.data() + k * record_bytes, record_bytes);
-        const block_id id = codec_.decode(record, payload_scratch_);
-        if (id == dummy_block_id) {
-          continue;
-        }
-        out.push_back(evicted_block{
-            id, std::vector<std::uint8_t>(payload_scratch_.begin(),
-                                          payload_scratch_.end())});
-      }
+      take_reals(chunk);
     }
   };
   if (memory_store_) {
@@ -518,17 +538,7 @@ cost_split path_oram::evict_all(std::vector<evicted_block>& out) {
         }
         cost.io += io_store_->read_range(page_->segment_first_slot(segment),
                                          records, chunk);
-        for (std::uint64_t k = 0; k < records; ++k) {
-          const std::span<const std::uint8_t> record(
-              chunk.data() + k * record_bytes, record_bytes);
-          const block_id id = codec_.decode(record, payload_scratch_);
-          if (id == dummy_block_id) {
-            continue;
-          }
-          out.push_back(evicted_block{
-              id, std::vector<std::uint8_t>(payload_scratch_.begin(),
-                                            payload_scratch_.end())});
-        }
+        take_reals(chunk);
       }
     }
   }
@@ -691,10 +701,7 @@ cost_split path_oram::reset() {
       const std::uint64_t count =
           std::min(sweep_chunk_records, slots - first);
       chunk.resize(count * record_bytes);
-      for (std::uint64_t k = 0; k < count; ++k) {
-        codec_.encode_dummy(std::span<std::uint8_t>(
-            chunk.data() + k * record_bytes, record_bytes));
-      }
+      codec_.encode_dummies(chunk);
       const sim::sim_time t = store.write_range(first, count, chunk);
       (memory_lane ? cost.memory : cost.io) += t;
     }
@@ -772,11 +779,12 @@ cost_split path_oram::initialize_full(
   const std::uint64_t z = config_.bucket_size;
   const std::size_t record_bytes = codec_.record_bytes();
   std::vector<std::uint8_t> tree_image(bucket_count_ * z * record_bytes);
-  for (std::uint64_t slot = 0; slot < bucket_count_ * z; ++slot) {
-    codec_.encode_dummy(std::span<std::uint8_t>(
-        tree_image.data() + slot * record_bytes, record_bytes));
-  }
+  codec_.encode_dummies(tree_image);
   std::vector<std::uint8_t> real_in_bucket(bucket_count_, 0);
+  // (id, slot) of every placed block, in placement order: the order the
+  // records are sealed in.
+  std::vector<std::pair<block_id, std::uint64_t>> placed;
+  placed.reserve(count);
 
   const std::function<std::vector<block_id>(std::uint32_t, std::uint64_t)>
       build = [&](std::uint32_t level,
@@ -800,20 +808,35 @@ cost_split path_oram::initialize_full(
       real_in_bucket[bucket] = 1;
     }
     for (std::uint64_t k = 0; k < take; ++k) {
-      const block_id id = pending[pending.size() - 1 - k];
-      codec_.encode(
-          id,
-          std::span<const std::uint8_t>(
-              payloads.data() + id * config_.payload_bytes,
-              config_.payload_bytes),
-          std::span<std::uint8_t>(
-              tree_image.data() + (bucket * z + k) * record_bytes,
-              record_bytes));
+      placed.emplace_back(pending[pending.size() - 1 - k], bucket * z + k);
     }
     pending.resize(pending.size() - take);
     return pending;
   };
   std::vector<block_id> overflow = build(0, 0);
+
+  // Seal the placed blocks in batches through a staging run, then move
+  // each record to its slot.
+  std::vector<block_codec::block_ref> refs;
+  std::vector<std::uint8_t> staging;
+  for (std::size_t first = 0; first < placed.size();
+       first += codec_batch_records) {
+    const std::size_t n =
+        std::min<std::size_t>(codec_batch_records, placed.size() - first);
+    refs.clear();
+    for (std::size_t i = first; i < first + n; ++i) {
+      const block_id id = placed[i].first;
+      refs.push_back({id, std::span<const std::uint8_t>(
+                              payloads.data() + id * config_.payload_bytes,
+                              config_.payload_bytes)});
+    }
+    staging.resize(n * record_bytes);
+    codec_.encode_many(refs, staging);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::memcpy(tree_image.data() + placed[first + i].second * record_bytes,
+                  staging.data() + i * record_bytes, record_bytes);
+    }
+  }
   for (const block_id id : overflow) {
     stash_.put(id, leaves[id],
                std::span<const std::uint8_t>(

@@ -278,9 +278,16 @@ class path_oram {
 
   // Reused per-access scratch.
   std::vector<std::uint8_t> bucket_scratch_;
-  std::vector<std::uint8_t> payload_scratch_;
-  /// One path's bucket records (level_count_ * Z records).
+  /// One path's bucket records (level_count_ * Z records), leaf bucket
+  /// first: write-back order.
   std::vector<std::uint8_t> path_window_;
+  /// Ids and payloads decoded from the path window, in window order.
+  std::vector<block_id> path_ids_;
+  std::vector<std::uint8_t> path_payloads_;
+  /// The write-back batch, in window order, and the payloads it points
+  /// into (moved out of the stash).
+  std::vector<block_codec::block_ref> writeback_;
+  std::vector<std::vector<std::uint8_t>> writeback_payloads_;
   /// Per-group segment bytes of the access in flight (page layout).
   std::vector<std::vector<std::uint8_t>> segment_buffers_;
 };

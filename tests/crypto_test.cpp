@@ -614,6 +614,132 @@ TEST_P(SealLanes, GoldenSealedRecord) {
   EXPECT_EQ(digest, 0x08700d556a15f4cdULL);
 }
 
+// A batch seals to the bytes seal() gives record by record (the same
+// nonces, in record order) and opens back to every plaintext, for batch
+// sizes around the lane and SipHash widths and up to a full seal slice.
+TEST_P(SealLanes, ManyMatchesOneAtATime) {
+  for (const std::size_t record_bytes : {44u, 1052u, 2220u}) {
+    const std::size_t size = record_bytes - seal_overhead;
+    for (const std::size_t count : {0u, 1u, 2u, 7u, 8u, 9u, 17u, 42u, 64u}) {
+      block_sealer one(derive_seal_keys(21));
+      block_sealer many(derive_seal_keys(21));
+      std::vector<std::vector<std::uint8_t>> plains;
+      std::vector<std::uint8_t> expected;
+      std::vector<std::uint8_t> batch(count * record_bytes, 0);
+      for (std::size_t r = 0; r < count; ++r) {
+        plains.push_back(pattern(size, 3 + static_cast<unsigned>(r),
+                                 7 * static_cast<unsigned>(r)));
+        const auto sealed = seal_copy(one, plains.back());
+        expected.insert(expected.end(), sealed.begin(), sealed.end());
+        std::copy(plains.back().begin(), plains.back().end(),
+                  batch.begin() + static_cast<std::ptrdiff_t>(
+                                      r * record_bytes + seal_nonce_bytes));
+      }
+      many.seal_many(batch, record_bytes);
+      ASSERT_EQ(batch, expected)
+          << "record " << record_bytes << ", count " << count;
+      // Both sealers go on from the same nonce.
+      const auto probe = pattern(size, 1, 1);
+      EXPECT_EQ(seal_copy(many, probe), seal_copy(one, probe));
+
+      for (const std::size_t h : {std::size_t{0}, std::size_t{8}, size}) {
+        std::vector<std::uint8_t> heads(count * h, 0x5a);
+        std::vector<std::uint8_t> bodies(count * (size - h), 0x5a);
+        many.open_many(batch, record_bytes, heads, bodies);
+        std::vector<std::uint8_t> head_only(count * h, 0x5a);
+        many.open_many(batch, record_bytes, head_only, {});
+        EXPECT_EQ(head_only, heads) << "head " << h;
+        for (std::size_t r = 0; r < count; ++r) {
+          const auto& plain = plains[r];
+          EXPECT_TRUE(std::equal(plain.begin(),
+                                 plain.begin() + static_cast<std::ptrdiff_t>(h),
+                                 heads.begin() +
+                                     static_cast<std::ptrdiff_t>(r * h)))
+              << "record " << record_bytes << ", count " << count
+              << ", head " << h << ", r " << r;
+          EXPECT_TRUE(std::equal(
+              plain.begin() + static_cast<std::ptrdiff_t>(h), plain.end(),
+              bodies.begin() + static_cast<std::ptrdiff_t>(r * (size - h))))
+              << "record " << record_bytes << ", count " << count
+              << ", head " << h << ", r " << r;
+        }
+      }
+    }
+  }
+}
+
+// A flip in the nonce, ciphertext or tag of any one record fails the
+// batch before a single output byte of any record is written.
+TEST_P(SealLanes, TamperedOpenManyLeavesOutputUntouched) {
+  block_sealer sealer(derive_seal_keys(22));
+  constexpr std::size_t count = 9;
+  constexpr std::size_t record_bytes = 1052;
+  constexpr std::size_t size = record_bytes - seal_overhead;
+  std::vector<std::uint8_t> batch(count * record_bytes, 0);
+  for (std::size_t r = 0; r < count; ++r) {
+    const auto plain = pattern(size, 5, static_cast<unsigned>(r));
+    std::copy(plain.begin(), plain.end(),
+              batch.begin() + static_cast<std::ptrdiff_t>(
+                                  r * record_bytes + seal_nonce_bytes));
+  }
+  sealer.seal_many(batch, record_bytes);
+
+  const std::size_t group_bytes = 64 * GetParam();
+  std::vector<std::size_t> flips = {0, 11, size + seal_nonce_bytes,
+                                    record_bytes - 1};
+  for (std::size_t offset = 0; offset < size; offset += group_bytes) {
+    flips.push_back(seal_nonce_bytes + offset);
+    flips.push_back(seal_nonce_bytes + std::min(size, offset + group_bytes) -
+                    1);
+  }
+  for (const std::size_t victim : {std::size_t{0}, std::size_t{4},
+                                   count - 1}) {
+    for (const std::size_t at : flips) {
+      auto tampered = batch;
+      tampered[victim * record_bytes + at] ^= 0x20;
+      std::vector<std::uint8_t> heads(count * 8, 0xcd);
+      std::vector<std::uint8_t> bodies(count * (size - 8), 0xef);
+      EXPECT_THROW(sealer.open_many(tampered, record_bytes, heads, bodies),
+                   crypto_error)
+          << "record " << victim << ", byte " << at;
+      EXPECT_EQ(heads, std::vector<std::uint8_t>(count * 8, 0xcd))
+          << "record " << victim << ", byte " << at;
+      EXPECT_EQ(bodies, std::vector<std::uint8_t>(count * (size - 8), 0xef))
+          << "record " << victim << ", byte " << at;
+
+      std::vector<std::uint8_t> plain(count * size, 0xab);
+      EXPECT_THROW(sealer.open_many(tampered, record_bytes, plain, {}),
+                   crypto_error)
+          << "record " << victim << ", byte " << at;
+      EXPECT_EQ(plain, std::vector<std::uint8_t>(count * size, 0xab))
+          << "record " << victim << ", byte " << at;
+    }
+  }
+}
+
+TEST(Seal, ManyRejectsMalformedBatches) {
+  block_sealer sealer(derive_seal_keys(23));
+  std::vector<std::uint8_t> batch(3 * 44, 0);
+  EXPECT_THROW(sealer.seal_many(batch, 45), contract_error);
+  EXPECT_THROW(sealer.seal_many(batch, seal_overhead - 1), contract_error);
+  sealer.seal_many(batch, 44);
+
+  std::vector<std::uint8_t> heads(3 * 8), bodies(3 * 16);
+  EXPECT_THROW(sealer.open_many(batch, seal_overhead - 1, heads, bodies),
+               crypto_error);
+  EXPECT_THROW(sealer.open_many(batch, 45, heads, bodies), contract_error);
+  std::vector<std::uint8_t> ragged(3 * 8 + 1);
+  EXPECT_THROW(sealer.open_many(batch, 44, ragged, bodies), contract_error);
+  std::vector<std::uint8_t> short_bodies(3 * 16 - 1);
+  EXPECT_THROW(sealer.open_many(batch, 44, heads, short_bodies),
+               contract_error);
+  // Outputs may not overlap the sealed run, not even in place.
+  EXPECT_THROW(sealer.open_many(batch, 44, std::span(batch).first(3 * 24), {}),
+               contract_error);
+  sealer.open_many(batch, 44, heads, bodies);
+  sealer.open_many({}, 44, {}, {});
+}
+
 // --------------------------------------------------------------- csprng
 
 TEST(ChaChaRng, DeterministicPerSeed) {

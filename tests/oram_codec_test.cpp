@@ -57,6 +57,91 @@ TEST_P(CodecSealModes, ShortPayloadIsZeroPadded) {
   }
 }
 
+// The batch forms write the bytes of the one-record forms called in
+// order (mixed real, short and dummy blocks) and read every record back.
+TEST_P(CodecSealModes, ManyMatchesOneAtATime) {
+  block_codec one(32, GetParam(), 8);
+  block_codec many(32, GetParam(), 8);
+  constexpr std::size_t count = 11;
+  const std::size_t rec = one.record_bytes();
+  std::vector<std::vector<std::uint8_t>> payloads;
+  std::vector<block_codec::block_ref> blocks;
+  std::vector<std::uint8_t> expected(count * rec);
+  for (std::size_t i = 0; i < count; ++i) {
+    payloads.emplace_back(i % 4 == 1 ? 5 : 32,
+                          static_cast<std::uint8_t>(i + 1));
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::span<std::uint8_t> record =
+        std::span(expected).subspan(i * rec, rec);
+    if (i % 3 == 2) {
+      one.encode_dummy(record);
+      blocks.push_back({});
+    } else {
+      one.encode(100 + i, payloads[i], record);
+      blocks.push_back({100 + i, payloads[i]});
+    }
+  }
+  std::vector<std::uint8_t> records(count * rec);
+  many.encode_many(blocks, records);
+  EXPECT_EQ(records, expected);
+
+  std::vector<std::uint8_t> dummies(3 * rec), expected_dummies(3 * rec);
+  many.encode_dummies(dummies);
+  for (std::size_t i = 0; i < 3; ++i) {
+    one.encode_dummy(std::span(expected_dummies).subspan(i * rec, rec));
+  }
+  EXPECT_EQ(dummies, expected_dummies);
+
+  std::vector<block_id> ids(count);
+  std::vector<std::uint8_t> out(count * 32);
+  many.decode_many(records, ids, out);
+  std::vector<block_id> ids_only(count);
+  many.decode_many(records, ids_only, {});
+  EXPECT_EQ(ids_only, ids);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::vector<std::uint8_t> payload(32);
+    EXPECT_EQ(ids[i], one.decode(std::span(records).subspan(i * rec, rec),
+                                 payload));
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                           out.begin() + static_cast<std::ptrdiff_t>(i * 32)))
+        << "record " << i;
+  }
+}
+
+TEST(Codec, TamperedDecodeManyWritesNothing) {
+  block_codec codec(32, true, 9);
+  constexpr std::size_t count = 6;
+  const std::size_t rec = codec.record_bytes();
+  std::vector<std::uint8_t> records(count * rec);
+  codec.encode_dummies(records);
+  records[4 * rec + 20] ^= 0x08;
+  std::vector<block_id> ids(count, 7);
+  std::vector<std::uint8_t> out(count * 32, 0xee);
+  EXPECT_THROW(codec.decode_many(records, ids, out), crypto::crypto_error);
+  EXPECT_EQ(ids, std::vector<block_id>(count, 7));
+  EXPECT_EQ(out, std::vector<std::uint8_t>(count * 32, 0xee));
+}
+
+TEST(Codec, ManyRejectsMismatchedBuffers) {
+  block_codec codec(32, true, 10);
+  const std::size_t rec = codec.record_bytes();
+  std::vector<std::uint8_t> records(2 * rec);
+  const std::vector<std::uint8_t> big(33);
+  const std::vector<block_codec::block_ref> one_block = {{1, {}}};
+  EXPECT_THROW(codec.encode_many(one_block, records), contract_error);
+  const std::vector<block_codec::block_ref> oversized = {{1, big}, {2, {}}};
+  EXPECT_THROW(codec.encode_many(oversized, records), contract_error);
+  EXPECT_THROW(codec.encode_dummies(std::span(records).first(rec + 1)),
+               contract_error);
+  codec.encode_dummies(records);
+  std::vector<block_id> ids(2);
+  std::vector<std::uint8_t> out(2 * 32 - 1);
+  EXPECT_THROW(codec.decode_many(records, ids, out), contract_error);
+  EXPECT_THROW(codec.decode_many(std::span(records).first(rec), ids, {}),
+               contract_error);
+}
+
 TEST(Codec, RecordSizeAccountsForSealing) {
   block_codec plain(32, false, 1);
   block_codec sealed(32, true, 1);

@@ -274,19 +274,59 @@ TEST(PathOram, InitializeFullPlacesEveryBlock) {
 }
 
 TEST(PathOram, TamperedTreeRecordDetected) {
-  // Integrity: flipping a bit of any record makes the next decode of
-  // that bucket throw.
+  // Integrity: flipping a byte of a record on the accessed path makes
+  // the access throw, and it throws before any block of the path has
+  // moved into the stash.
   fixture fx;
+  detail::path_store_log log;
   path_oram oram(fx.config(4), fx.memory, nullptr, fx.cpu, fx.rng,
                  nullptr);
-  oram.access(op_kind::write, 1, payload_of(1), {});
-  // No public mutation API (by design); validate via the codec directly.
-  block_codec codec(16, true, 123);
-  std::vector<std::uint8_t> record(codec.record_bytes());
-  codec.encode(1, payload_of(1), record);
-  record[10] ^= 1;
+  for (block_id id = 0; id < 12; ++id) {
+    oram.access(op_kind::write, id, payload_of(static_cast<std::uint8_t>(id)),
+                {});
+  }
+  ASSERT_EQ(log.trees().size(), 1u);
+  storage::block_store& store = *log.trees()[0].memory;
+
+  // Tamper with the last slot of the leaf bucket on block 0's path, so
+  // the root-side buckets of that path decode first. At least one of
+  // them must hold a real block, or the stash check below proves
+  // nothing.
+  const leaf_id leaf = oram.leaf_of(0);
+  const std::uint64_t z = 4;
+  const std::uint64_t leaf_bucket =
+      ((std::uint64_t{1} << (oram.level_count() - 1)) - 1) + leaf;
+  const block_codec codec(16, true, oram.config().key_seed);
+  bool real_above = false;
+  for (std::uint32_t level = 0; level + 1 < oram.level_count(); ++level) {
+    const std::uint64_t bucket = ((std::uint64_t{1} << level) - 1) +
+                                 (leaf >> (oram.level_count() - 1 - level));
+    for (std::uint64_t k = 0; k < z; ++k) {
+      real_above = real_above ||
+                   codec.decode(store.peek(bucket * z + k), {}) != dummy_block_id;
+    }
+  }
+  ASSERT_TRUE(real_above);
+
+  std::map<block_id, stash_entry> before;
+  for (const auto& [id, entry] : oram.stash_ref()) {
+    before.emplace(id, entry);
+  }
+  store.corrupt(leaf_bucket * z + z - 1, /*byte_offset=*/20, 0x01);
   std::vector<std::uint8_t> out(16);
-  EXPECT_THROW(codec.decode(record, out), crypto::crypto_error);
+  EXPECT_THROW(oram.access(op_kind::read, 0, {}, out), crypto::crypto_error);
+
+  std::map<block_id, stash_entry> after;
+  for (const auto& [id, entry] : oram.stash_ref()) {
+    after.emplace(id, entry);
+  }
+  ASSERT_EQ(after.size(), before.size());
+  for (const auto& [id, entry] : before) {
+    const auto it = after.find(id);
+    ASSERT_NE(it, after.end()) << "block " << id;
+    EXPECT_EQ(it->second.leaf, entry.leaf) << "block " << id;
+    EXPECT_EQ(it->second.payload, entry.payload) << "block " << id;
+  }
 }
 
 // ------------------------------------------------------- golden images
