@@ -81,7 +81,7 @@ storage_layer::storage_layer(
   std::vector<std::uint8_t> image(main_capacity * codec_.record_bytes());
   // Payloads of one codec batch: records are sealed a batch at a time,
   // in slot order.
-  constexpr std::uint64_t batch_records = 256;
+  constexpr std::uint64_t batch_records = 64;
   std::vector<std::uint8_t> payloads(batch_records * config_.payload_bytes);
   std::vector<oram::block_codec::block_ref> refs;
   std::uint64_t cursor = 0;

@@ -60,16 +60,18 @@ std::size_t mac_budget(std::size_t bytes, std::size_t groups) {
 // slice's ciphertext is still in cache when its MACs are computed.
 constexpr std::size_t seal_slice_records = 64;
 
-/// The keystream blocks [0, blocks) of each of `records` records, L
-/// (record, block) pairs per kernel group: calls apply(r, b, keystream)
-/// with the 64 keystream bytes of block b of record r, whose nonce is
-/// the 12 bytes at nonce_of(r). Pairs run record by record, so a
-/// 17-block record costs 17 blocks of a group, not a group and a half.
-template <int L, class Nonce, class Apply>
+/// The keystream blocks [0, blocks) of each of `count` sealed records
+/// laid `stride` bytes apart, L (record, block) pairs per kernel group:
+/// calls apply(r, b, keystream) with the 64 keystream bytes of block b
+/// of record r, under the nonce the record starts with. Pairs run record
+/// by record, so a 17-block record costs 17 blocks of a group, not a
+/// group and a half.
+template <int L, class Apply>
 [[gnu::always_inline]] inline void keystream_blocks(const chacha_key& key,
-                                                    std::size_t records,
+                                                    const std::uint8_t* records,
+                                                    std::size_t count,
+                                                    std::size_t stride,
                                                     std::size_t blocks,
-                                                    const Nonce& nonce_of,
                                                     const Apply& apply) {
   using kernel = chacha_lanes<L>;
   typename kernel::vec state[16] = {};
@@ -92,9 +94,9 @@ template <int L, class Nonce, class Apply>
     }
     used = 0;
   };
-  for (std::size_t r = 0; r < records; ++r) {
+  for (std::size_t r = 0; r < count; ++r) {
     std::uint32_t nonce[3];
-    std::memcpy(nonce, nonce_of(r), sizeof nonce);
+    std::memcpy(nonce, records + r * stride, sizeof nonce);
     for (std::size_t b = 0; b < blocks; ++b) {
       words[0][used] = static_cast<std::uint32_t>(first_payload_block + b);
       words[1][used] = nonce[0];
@@ -208,8 +210,7 @@ void block_sealer::seal_many(std::span<std::uint8_t> records,
         std::memset(record + sizeof nonce, 0, seal_nonce_bytes - sizeof nonce);
       }
       keystream_blocks<L>(
-          keys_.encryption_key, n, blocks,
-          [&](std::size_t r) { return slice + r * record_bytes; },
+          keys_.encryption_key, slice, n, record_bytes, blocks,
           [&](std::size_t r, std::size_t b, const std::uint8_t* ks)
               __attribute__((always_inline)) {
                 std::uint8_t* text =
@@ -270,8 +271,8 @@ void block_sealer::open_many(std::span<const std::uint8_t> sealed,
       throw crypto_error("MAC verification failed: block tampered or corrupt");
     }
     keystream_blocks<L>(
-        keys_.encryption_key, count, (end + 63) / 64,
-        [&](std::size_t r) { return sealed.data() + r * record_bytes; },
+        keys_.encryption_key, sealed.data(), count, record_bytes,
+        (end + 63) / 64,
         [&](std::size_t r, std::size_t b, const std::uint8_t* ks)
             __attribute__((always_inline)) {
               const std::size_t pos = 64 * b;

@@ -17,6 +17,8 @@ namespace {
 /// Slots moved per merge slice unit: one chunked range transfer. Public
 /// information by design — a pure constant of the implementation.
 constexpr std::uint64_t kChunkSlots = 512;
+/// Records per codec batch within a set-up chunk.
+constexpr std::uint64_t kBatchSlots = 64;
 
 }  // namespace
 
@@ -93,32 +95,38 @@ hier_backend::hier_backend(
   bottom.prp = feistel_prp(bottom.slot_count, fresh_key());
   horam::oram::trace(trace_, event_kind::storage_write_sweep, bottom.base,
                      bottom.slot_count);
-  // One codec batch per chunk, records in slot order.
+  // Records are sealed in slot order, kBatchSlots per codec batch.
   std::vector<std::uint8_t> buf;
-  std::vector<std::uint8_t> payloads(kChunkSlots * config_.payload_bytes);
+  std::vector<std::uint8_t> payloads(kBatchSlots * config_.payload_bytes);
   std::vector<block_codec::block_ref> refs;
   for (std::uint64_t first = 0; first < bottom.slot_count;
        first += kChunkSlots) {
     const std::uint64_t n =
         std::min(kChunkSlots, bottom.slot_count - first);
     buf.resize(n * rec);
-    refs.assign(n, {});
     for (std::uint64_t j = 0; j < n; ++j) {
       const std::uint64_t slot = first + j;
       const std::uint64_t rank = bottom.prp.inverse(slot);
       if (rank < config_.block_count) {
         const std::span<std::uint8_t> payload =
-            std::span(payloads).subspan(j * config_.payload_bytes,
+            std::span(payloads).subspan(refs.size() * config_.payload_bytes,
                                         config_.payload_bytes);
         std::fill(payload.begin(), payload.end(), 0);
         if (filler != nullptr) {
           (*filler)(rank, payload);
         }
-        refs[j] = {rank, payload};
+        refs.push_back({rank, payload});
         index_.place(rank, level_count(), slot);
+      } else {
+        refs.emplace_back();
+      }
+      if (refs.size() == kBatchSlots || j + 1 == n) {
+        codec_.encode_many(
+            refs, std::span(buf).subspan((j + 1 - refs.size()) * rec,
+                                         refs.size() * rec));
+        refs.clear();
       }
     }
-    codec_.encode_many(refs, buf);
     store_->write_range(bottom.base + first, n, buf);
   }
   device.reset_stats();

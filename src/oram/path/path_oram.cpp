@@ -15,7 +15,7 @@ constexpr std::uint64_t sweep_chunk_records = 1 << 14;
 
 /// Records per codec batch where a sweep decodes payloads or stages
 /// scattered records: bounds the payload and staging buffers.
-constexpr std::uint64_t codec_batch_records = 256;
+constexpr std::uint64_t codec_batch_records = 64;
 
 thread_local detail::path_store_log* active_store_log = nullptr;
 
@@ -781,10 +781,21 @@ cost_split path_oram::initialize_full(
   std::vector<std::uint8_t> tree_image(bucket_count_ * z * record_bytes);
   codec_.encode_dummies(tree_image);
   std::vector<std::uint8_t> real_in_bucket(bucket_count_, 0);
-  // (id, slot) of every placed block, in placement order: the order the
-  // records are sealed in.
-  std::vector<std::pair<block_id, std::uint64_t>> placed;
-  placed.reserve(count);
+  // Placed blocks are sealed in placement order, a batch at a time,
+  // through a staging run; then each record moves to its slot.
+  std::vector<block_codec::block_ref> refs;
+  std::vector<std::uint64_t> slots;
+  std::vector<std::uint8_t> staging(codec_batch_records * record_bytes);
+  const auto seal_placed = [&] {
+    codec_.encode_many(refs, std::span(staging).first(refs.size() *
+                                                      record_bytes));
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      std::memcpy(tree_image.data() + slots[i] * record_bytes,
+                  staging.data() + i * record_bytes, record_bytes);
+    }
+    refs.clear();
+    slots.clear();
+  };
 
   const std::function<std::vector<block_id>(std::uint32_t, std::uint64_t)>
       build = [&](std::uint32_t level,
@@ -808,35 +819,20 @@ cost_split path_oram::initialize_full(
       real_in_bucket[bucket] = 1;
     }
     for (std::uint64_t k = 0; k < take; ++k) {
-      placed.emplace_back(pending[pending.size() - 1 - k], bucket * z + k);
+      const block_id id = pending[pending.size() - 1 - k];
+      refs.push_back({id, std::span<const std::uint8_t>(
+                              payloads.data() + id * config_.payload_bytes,
+                              config_.payload_bytes)});
+      slots.push_back(bucket * z + k);
+      if (refs.size() == codec_batch_records) {
+        seal_placed();
+      }
     }
     pending.resize(pending.size() - take);
     return pending;
   };
   std::vector<block_id> overflow = build(0, 0);
-
-  // Seal the placed blocks in batches through a staging run, then move
-  // each record to its slot.
-  std::vector<block_codec::block_ref> refs;
-  std::vector<std::uint8_t> staging;
-  for (std::size_t first = 0; first < placed.size();
-       first += codec_batch_records) {
-    const std::size_t n =
-        std::min<std::size_t>(codec_batch_records, placed.size() - first);
-    refs.clear();
-    for (std::size_t i = first; i < first + n; ++i) {
-      const block_id id = placed[i].first;
-      refs.push_back({id, std::span<const std::uint8_t>(
-                              payloads.data() + id * config_.payload_bytes,
-                              config_.payload_bytes)});
-    }
-    staging.resize(n * record_bytes);
-    codec_.encode_many(refs, staging);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::memcpy(tree_image.data() + placed[first + i].second * record_bytes,
-                  staging.data() + i * record_bytes, record_bytes);
-    }
-  }
+  seal_placed();
   for (const block_id id : overflow) {
     stash_.put(id, leaves[id],
                std::span<const std::uint8_t>(
