@@ -148,7 +148,6 @@ struct sip_lanes {
     vec m[ways] = {};
     const std::size_t words = size / 8;
     for (std::size_t word = 0; word < words; ++word) {
-#pragma GCC unroll 4
       for (int w = 0; w < ways; ++w) {
         gather(m[w], data + w * width, 8 * word, seq);
       }
@@ -229,13 +228,11 @@ struct sip_lanes {
   /// Two compression rounds over one message word per buffer.
   [[gnu::always_inline]] static void absorb(vec (&v)[ways][4],
                                             const vec (&m)[ways]) noexcept {
-#pragma GCC unroll 4
     for (int w = 0; w < ways; ++w) {
       v[w][3] ^= m[w];
     }
     round(v);
     round(v);
-#pragma GCC unroll 4
     for (int w = 0; w < ways; ++w) {
       v[w][0] ^= m[w];
     }
