@@ -1,6 +1,7 @@
 // Tests for the Path ORAM implementation: functional correctness
 // against a shadow map, stash behaviour, obliviousness of the bus
-// pattern, eviction and reset, bulk initialisation, and the memory/
+// pattern, eviction and reset, bulk initialisation, integrity of the
+// stored records, golden digests of the store images, and the memory/
 // storage level split of the tree-top-cache baseline.
 #include <gtest/gtest.h>
 
@@ -302,8 +303,8 @@ TEST(PathOram, TamperedTreeRecordDetected) {
     const std::uint64_t bucket = ((std::uint64_t{1} << level) - 1) +
                                  (leaf >> (oram.level_count() - 1 - level));
     for (std::uint64_t k = 0; k < z; ++k) {
-      real_above = real_above ||
-                   codec.decode(store.peek(bucket * z + k), {}) != dummy_block_id;
+      const block_id id = codec.decode(store.peek(bucket * z + k), {});
+      real_above = real_above || id != dummy_block_id;
     }
   }
   ASSERT_TRUE(real_above);
