@@ -1,18 +1,15 @@
-// Ablation for the shuffle substrate (§3.2 / §4.3): compares the cost
-// of the oblivious shuffle algorithms the paper discusses — bitonic
-// network, Waksman network, Melbourne shuffle (external), CacheShuffle
-// (external) — against plain Fisher-Yates, across sizes. This is the
-// quantitative version of the paper's claim that full oblivious
-// shuffles "bring excessive overhead" compared with its sequential
-// group-and-partition shuffle.
+// Ablation for the shuffle substrate (§3.2 / §4.3): compares the
+// external Melbourne shuffle (the sqrt backend's reshuffle) with
+// H-ORAM's sequential partition rewrite (stream in, permute in trusted
+// memory with util::random_permutation as storage_layer does, stream
+// out), across sizes. This is the quantitative version of the paper's
+// claim that full oblivious shuffles "bring excessive overhead"
+// compared with its sequential group-and-partition shuffle.
 #include <chrono>
+#include <cstring>
 #include <iostream>
 
-#include "shuffle/bitonic.h"
-#include "shuffle/cache_shuffle.h"
-#include "shuffle/fisher_yates.h"
 #include "shuffle/melbourne.h"
-#include "shuffle/waksman.h"
 #include "sim/profiles.h"
 #include "storage/block_store.h"
 #include "util/rng.h"
@@ -26,14 +23,6 @@ using namespace horam;
 constexpr std::size_t record_bytes = 64;
 constexpr std::uint64_t logical_block = 1024;
 
-std::vector<std::uint8_t> make_records(std::uint64_t n) {
-  std::vector<std::uint8_t> records(n * record_bytes);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    records[i] = static_cast<std::uint8_t>(i);
-  }
-  return records;
-}
-
 }  // namespace
 
 int main() {
@@ -45,50 +34,6 @@ int main() {
   for (const std::uint64_t n : {1024ULL, 4096ULL, 16384ULL}) {
     util::pcg64 rng(n);
 
-    {  // Fisher-Yates (non-oblivious reference).
-      auto records = make_records(n);
-      shuffle::shuffle_stats stats;
-      const auto start = std::chrono::steady_clock::now();
-      shuffle::fisher_yates(rng, records, record_bytes, &stats);
-      const double host =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      table.add_row({util::format_count(n), "fisher-yates",
-                     util::format_count(stats.touch_ops),
-                     util::format_bytes(stats.bytes_moved), "in-memory",
-                     util::format_double(host * 1e3, 2) + " ms"});
-    }
-    {  // Bitonic oblivious shuffle.
-      auto records = make_records(n);
-      shuffle::shuffle_stats stats;
-      const auto start = std::chrono::steady_clock::now();
-      shuffle::bitonic_shuffle(rng, records, record_bytes, &stats);
-      const double host =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      table.add_row({util::format_count(n), "bitonic network",
-                     util::format_count(stats.touch_ops),
-                     util::format_bytes(stats.bytes_moved), "in-memory",
-                     util::format_double(host * 1e3, 2) + " ms"});
-    }
-    {  // Waksman network (permutation known up front).
-      auto records = make_records(n);
-      shuffle::shuffle_stats stats;
-      const auto start = std::chrono::steady_clock::now();
-      const auto pi = util::random_permutation(rng, n);
-      const auto network = shuffle::build_waksman(pi);
-      shuffle::apply_waksman(network, records, record_bytes, &stats);
-      const double host =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      table.add_row({util::format_count(n), "waksman network",
-                     util::format_count(stats.touch_ops),
-                     util::format_bytes(stats.bytes_moved), "in-memory",
-                     util::format_double(host * 1e3, 2) + " ms"});
-    }
     {  // Melbourne shuffle on the HDD model.
       sim::block_device device(sim::hdd_paper());
       const shuffle::melbourne_config config{};
@@ -116,34 +61,6 @@ int main() {
                      util::format_time_ns(result.io_time),
                      util::format_double(host * 1e3, 2) + " ms"});
     }
-    {  // CacheShuffle on the HDD model.
-      sim::block_device device(sim::hdd_paper());
-      shuffle::cache_shuffle_config config;
-      config.client_memory_records = std::max<std::uint64_t>(64, n / 8);
-      storage::block_store input(device, 0, n, record_bytes,
-                                 logical_block);
-      storage::block_store scratch(
-          device, n * logical_block,
-          shuffle::cache_shuffle_scratch_records(n, config), record_bytes,
-          logical_block);
-      storage::block_store output(
-          device,
-          (n + shuffle::cache_shuffle_scratch_records(n, config)) *
-              logical_block,
-          n, record_bytes, logical_block);
-      const auto start = std::chrono::steady_clock::now();
-      const auto result =
-          shuffle::cache_shuffle(input, scratch, output, rng, config);
-      const double host =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      table.add_row({util::format_count(n), "cache shuffle (external)",
-                     util::format_count(result.stats.touch_ops),
-                     util::format_bytes(result.stats.bytes_moved),
-                     util::format_time_ns(result.io_time),
-                     util::format_double(host * 1e3, 2) + " ms"});
-    }
     {  // H-ORAM's per-partition sequential rewrite, for comparison: one
        // streaming read + shuffle in trusted memory + streaming write.
       sim::block_device device(sim::hdd_paper());
@@ -151,8 +68,13 @@ int main() {
                                  logical_block);
       std::vector<std::uint8_t> image(n * record_bytes);
       sim::sim_time io = store.read_range(0, n, image);
-      shuffle::fisher_yates(rng, image, record_bytes);
-      io += store.write_range(0, n, image);
+      const auto pi = util::random_permutation(rng, n);
+      std::vector<std::uint8_t> permuted(image.size());
+      for (std::uint64_t i = 0; i < n; ++i) {
+        std::memcpy(permuted.data() + pi[i] * record_bytes,
+                    image.data() + i * record_bytes, record_bytes);
+      }
+      io += store.write_range(0, n, permuted);
       table.add_row({util::format_count(n),
                      "sequential rewrite (H-ORAM partition)",
                      util::format_count(n), util::format_bytes(

@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks of the substrates: cipher, PRF,
-// sealing, RNG, Fenwick sampling, shuffle kernels, Path ORAM access.
+// sealing, RNG, Fenwick sampling, Path ORAM access.
 // These measure host performance of the library code itself (the other
 // harnesses report virtual time).
 #include <benchmark/benchmark.h>
@@ -12,8 +12,6 @@
 #include "crypto/seal.h"
 #include "crypto/siphash.h"
 #include "oram/path/path_oram.h"
-#include "shuffle/bitonic.h"
-#include "shuffle/fisher_yates.h"
 #include "sim/profiles.h"
 #include "util/fenwick.h"
 #include "util/rng.h"
@@ -172,30 +170,6 @@ void bm_fenwick_sample(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_fenwick_sample)->Arg(256)->Arg(1024)->Arg(4096);
-
-void bm_fisher_yates(benchmark::State& state) {
-  const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
-  util::pcg64 rng(3);
-  std::vector<std::uint8_t> records(n * 64);
-  for (auto _ : state) {
-    shuffle::fisher_yates(rng, records, 64);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(bm_fisher_yates)->Arg(1024)->Arg(4096);
-
-void bm_bitonic_shuffle(benchmark::State& state) {
-  const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
-  util::pcg64 rng(4);
-  std::vector<std::uint8_t> records(n * 64);
-  for (auto _ : state) {
-    shuffle::bitonic_shuffle(rng, records, 64);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(bm_bitonic_shuffle)->Arg(1024)->Arg(4096);
 
 void bm_path_oram_access(benchmark::State& state) {
   sim::block_device memory(sim::dram_ddr4());

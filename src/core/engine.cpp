@@ -22,6 +22,11 @@ crypto::siphash_key make_route_key(std::uint64_t seed) {
   return key;
 }
 
+std::unique_ptr<oram_backend> non_null(std::unique_ptr<oram_backend> backend) {
+  expects(backend != nullptr, "shard factory returned no backend");
+  return backend;
+}
+
 }  // namespace
 
 std::uint64_t engine::derive_shard_seed(std::uint64_t route_key_seed,
@@ -40,9 +45,7 @@ std::uint64_t engine::derive_shard_seed(std::uint64_t route_key_seed,
 
 /// One controller shard with its own device lane.
 struct engine::shard_state {
-  horam_config config;
-
-  /// Owned machine lane (null when wrapping an external controller).
+  /// The shard's machine lane: devices, RNG streams and bus trace.
   struct lane_state {
     sim::block_device storage;
     sim::block_device memory;
@@ -63,13 +66,36 @@ struct engine::shard_state {
         trace.emplace();
       }
     }
+
+    [[nodiscard]] oram::access_trace* trace_or_null() noexcept {
+      return trace.has_value() ? &*trace : nullptr;
+    }
   };
 
-  std::unique_ptr<lane_state> lane;
-  std::unique_ptr<controller> owned;
-  controller* ctrl = nullptr;
+  /// Builds the lane, then the shard's backend (through `factory`) and
+  /// its controller on top of it.
+  shard_state(const horam_config& shard_config, std::uint32_t index,
+              std::vector<oram::block_id> members, const sim::cpu_model& cpu,
+              const shard_factory& factory, const options& opts,
+              std::uint64_t rng_seed, std::uint64_t pad_seed)
+      : config(shard_config),
+        lane(opts.storage_profile, opts.memory_profile, rng_seed, pad_seed,
+             opts.trace),
+        blocks(std::move(members)),
+        ctrl(shard_config,
+             non_null(factory(index, shard_config, lane.storage, lane.memory,
+                              cpu, lane.rng, lane.trace_or_null(), blocks)),
+             lane.memory, cpu, lane.rng, lane.trace_or_null()) {
+    // Wire the lane's device counters so each shard controller can
+    // split its device traffic into shuffle vs online access rounds.
+    ctrl.attach_device_stats(&lane.storage.stats());
+  }
+
+  horam_config config;
+  lane_state lane;
   /// Local id -> global id (empty = identity, the single-shard case).
   std::vector<oram::block_id> blocks;
+  controller ctrl;
 };
 
 engine::engine(const horam_config& config, const sim::cpu_model& cpu,
@@ -126,8 +152,6 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
     }
     shard_config.validate();
 
-    auto state = std::make_unique<shard_state>();
-    state->config = shard_config;
     // A single-shard engine keeps the caller's seed verbatim — it must
     // stay bit-for-bit the historical single-controller machine (its
     // pad stream is never drawn: slots always equal reals). Real shards
@@ -139,25 +163,9 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
             : derive_shard_seed(config_.route_key_seed, opts.seed, s, 0);
     const std::uint64_t pad_seed =
         derive_shard_seed(config_.route_key_seed, opts.seed, s, 1);
-    state->lane = std::make_unique<shard_state::lane_state>(
-        opts.storage_profile, opts.memory_profile, rng_seed, pad_seed,
-        opts.trace);
-    oram::access_trace* trace =
-        state->lane->trace.has_value() ? &*state->lane->trace : nullptr;
-    std::unique_ptr<oram_backend> backend =
-        factory(s, shard_config, state->lane->storage, state->lane->memory,
-                cpu, state->lane->rng, trace,
-                std::span<const oram::block_id>(members[s]));
-    expects(backend != nullptr, "shard factory returned no backend");
-    state->owned = std::make_unique<controller>(
-        shard_config, std::move(backend), state->lane->memory, cpu,
-        state->lane->rng, trace);
-    // Wire the lane's device counters so each shard controller can
-    // split its device traffic into shuffle vs online access rounds.
-    state->owned->attach_device_stats(&state->lane->storage.stats());
-    state->ctrl = state->owned.get();
-    state->blocks = std::move(members[s]);
-    shards_.push_back(std::move(state));
+    shards_.push_back(std::make_unique<shard_state>(
+        shard_config, s, std::move(members[s]), cpu, factory, opts,
+        rng_seed, pad_seed));
   }
   queues_.resize(count);
   if (config_.coalescing) {
@@ -183,21 +191,6 @@ engine::engine(const horam_config& config, const sim::cpu_model& cpu,
 }
 
 engine::~engine() = default;
-
-engine::engine(controller& external) : config_(external.config()) {
-  config_.shard_count = 1;
-  // The shim owns no device lane (and therefore no pad-id stream), so
-  // it cannot run padded coalescing rounds; it stays the exact
-  // pass-through regardless of the wrapped controller's config.
-  config_.coalescing = false;
-  route_key_ = make_route_key(config_.route_key_seed);
-  round_cap_ = derive_round_cap();
-  auto state = std::make_unique<shard_state>();
-  state->config = config_;
-  state->ctrl = &external;
-  shards_.push_back(std::move(state));
-  queues_.resize(1);
-}
 
 std::uint32_t engine::derive_round_cap() const {
   if (config_.shard_round_cap > 0) {
@@ -241,7 +234,7 @@ engine::lane_report engine::service_lane(lane_task&& task,
     for (std::size_t i = physical; i < task.slots; ++i) {
       request pad;
       pad.op = oram::op_kind::read;
-      pad.id = util::uniform_below(sh.lane->pad_rng, sh.config.block_count);
+      pad.id = util::uniform_below(sh.lane.pad_rng, sh.config.block_count);
       batch.push_back(std::move(pad));
     }
 
@@ -250,9 +243,9 @@ engine::lane_report engine::service_lane(lane_task&& task,
     // application-level. The single-shard pass honors the caller's
     // choice exactly.
     const bool want_results = task.slots > physical || task.want_out;
-    const sim::sim_time local_start = sh.ctrl->now();
+    const sim::sim_time local_start = sh.ctrl.now();
     std::vector<request_result> results;
-    sh.ctrl->run(batch, want_results ? &results : nullptr);
+    sh.ctrl.run(batch, want_results ? &results : nullptr);
 
     if (want_results) {
       // Completion-ordering layer: shard-local sim-time offsets map
@@ -302,7 +295,7 @@ engine::lane_report engine::service_lane(lane_task&& task,
         }
       }
     }
-    report.elapsed = sh.ctrl->now() - local_start;
+    report.elapsed = sh.ctrl.now() - local_start;
   } catch (...) {
     // Workers must not throw (an escape would terminate the process);
     // the failure crosses back to the coordinator as data and is
@@ -564,7 +557,7 @@ void engine::run(std::span<const request> requests,
   }
   if (shard_count() == 1 && !config_.coalescing) {
     // Exact historical path: one controller, one batch.
-    shards_[0]->ctrl->run(requests, results);
+    shards_[0]->ctrl.run(requests, results);
     stats_.real_requests += requests.size();
     stats_.physical_accesses += requests.size();
     return;
@@ -667,18 +660,18 @@ void engine::drain(std::vector<request_result>* results) {
 
 std::uint64_t engine::round_budget() const {
   return shards_.size() == 1
-             ? shards_[0]->ctrl->round_budget()
+             ? shards_[0]->ctrl.round_budget()
              : static_cast<std::uint64_t>(shard_count()) * round_cap_;
 }
 
 sim::sim_time engine::now() const noexcept {
-  return shards_.size() == 1 ? shards_[0]->ctrl->now() : global_now_;
+  return shards_.size() == 1 ? shards_[0]->ctrl.now() : global_now_;
 }
 
 const controller_stats& engine::stats() const noexcept {
   controller_stats total;
   for (const std::unique_ptr<shard_state>& sh : shards_) {
-    total += sh->ctrl->stats();
+    total += sh->ctrl.stats();
   }
   // The router's padding traffic is invisible to applications: strip it
   // from the request-level counters, keep the resource counters raw.
@@ -700,11 +693,9 @@ const controller_stats& engine::stats() const noexcept {
 
 void engine::reset_stats() noexcept {
   for (const std::unique_ptr<shard_state>& sh : shards_) {
-    sh->ctrl->reset_stats();
-    if (sh->lane != nullptr) {
-      sh->lane->storage.reset_stats();
-      sh->lane->memory.reset_stats();
-    }
+    sh->ctrl.reset_stats();
+    sh->lane.storage.reset_stats();
+    sh->lane.memory.reset_stats();
   }
   stats_ = engine_stats{};
   round_log_.clear();
@@ -713,48 +704,37 @@ void engine::reset_stats() noexcept {
 
 controller& engine::shard(std::uint32_t index) {
   expects(index < shards_.size(), "shard index out of range");
-  return *shards_[index]->ctrl;
+  return shards_[index]->ctrl;
 }
 
 const controller& engine::shard(std::uint32_t index) const {
   expects(index < shards_.size(), "shard index out of range");
-  return *shards_[index]->ctrl;
+  return shards_[index]->ctrl;
 }
 
 sim::block_device& engine::shard_storage(std::uint32_t index) {
   expects(index < shards_.size(), "shard index out of range");
-  expects(shards_[index]->lane != nullptr,
-          "external-controller engines own no device lane");
-  return shards_[index]->lane->storage;
+  return shards_[index]->lane.storage;
 }
 
 const sim::block_device& engine::shard_storage(std::uint32_t index) const {
   expects(index < shards_.size(), "shard index out of range");
-  expects(shards_[index]->lane != nullptr,
-          "external-controller engines own no device lane");
-  return shards_[index]->lane->storage;
+  return shards_[index]->lane.storage;
 }
 
 sim::block_device& engine::shard_memory(std::uint32_t index) {
   expects(index < shards_.size(), "shard index out of range");
-  expects(shards_[index]->lane != nullptr,
-          "external-controller engines own no device lane");
-  return shards_[index]->lane->memory;
+  return shards_[index]->lane.memory;
 }
 
 const sim::block_device& engine::shard_memory(std::uint32_t index) const {
   expects(index < shards_.size(), "shard index out of range");
-  expects(shards_[index]->lane != nullptr,
-          "external-controller engines own no device lane");
-  return shards_[index]->lane->memory;
+  return shards_[index]->lane.memory;
 }
 
 const oram::access_trace* engine::shard_trace(std::uint32_t index) const {
   expects(index < shards_.size(), "shard index out of range");
-  const shard_state& sh = *shards_[index];
-  return sh.lane != nullptr && sh.lane->trace.has_value()
-             ? &*sh.lane->trace
-             : nullptr;
+  return shards_[index]->lane.trace_or_null();
 }
 
 std::span<const oram::block_id> engine::shard_blocks(
@@ -766,7 +746,7 @@ std::span<const oram::block_id> engine::shard_blocks(
 std::uint64_t engine::control_memory_bytes() const {
   std::uint64_t total = 0;
   for (const std::unique_ptr<shard_state>& sh : shards_) {
-    total += sh->ctrl->control_memory_bytes();
+    total += sh->ctrl.control_memory_bytes();
     total += sh->blocks.size() * sizeof(oram::block_id);
   }
   total += shard_index_of_.size() * sizeof(std::uint32_t);

@@ -132,17 +132,13 @@ class engine {
     bool trace = false;
   };
 
-  /// Owning constructor: assembles shard_count() device lanes, invokes
-  /// `factory` once per shard and wires one controller per shard.
+  /// Assembles shard_count() device lanes, invokes `factory` once per
+  /// shard and wires one controller per shard; every shard owns its
+  /// lane (devices, RNGs, trace), its backend and its controller.
   /// `config` is the global view (block_count = whole dataset,
   /// memory_blocks = total cache budget, split evenly across shards).
   engine(const horam_config& config, const sim::cpu_model& cpu,
          const shard_factory& factory, const options& opts);
-
-  /// Wraps one externally owned controller as a single pass-through
-  /// shard (multi_user_frontend compatibility). The engine owns no
-  /// devices; reset_stats() touches only the controller.
-  explicit engine(controller& external);
 
   engine(const engine&) = delete;
   engine& operator=(const engine&) = delete;
@@ -257,8 +253,7 @@ class engine {
 
   [[nodiscard]] controller& shard(std::uint32_t index);
   [[nodiscard]] const controller& shard(std::uint32_t index) const;
-  /// The shard's device lane (null device accessors are invalid for the
-  /// external-controller shim, which owns no lane).
+  /// The shard's device lane.
   [[nodiscard]] sim::block_device& shard_storage(std::uint32_t index);
   [[nodiscard]] const sim::block_device& shard_storage(
       std::uint32_t index) const;

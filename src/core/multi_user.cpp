@@ -188,54 +188,4 @@ void tenant_scheduler::reset_stats() {
   stats_epoch_ = engine_.now();
 }
 
-// ------------------------------------------------ multi_user_frontend
-
-void multi_user_frontend::grant(std::uint32_t user, user_grant grant) {
-  expects(grant.first <= grant.last, "grant range must be ordered");
-  grants_[user] = grant;
-}
-
-multi_user_summary multi_user_frontend::run(
-    std::vector<std::vector<request>> per_user) {
-  tenant_scheduler sched(shim_,
-                         make_fairness_policy(fairness_kind::round_robin));
-  for (std::uint32_t user = 0; user < per_user.size(); ++user) {
-    sched.add_tenant();
-    const auto it = grants_.find(user);
-    if (it != grants_.end()) {
-      sched.grant(user, it->second);
-    }
-  }
-
-  // Admission happens before any scheduling round runs, so a grant
-  // violation is thrown before anything reaches the ORAM (no trace) and
-  // every request's latency is measured from the common batch start.
-  const sim::sim_time start = controller_.now();
-  for (std::uint32_t user = 0; user < per_user.size(); ++user) {
-    for (request& req : per_user[user]) {
-      sched.enqueue(user, std::move(req));
-    }
-  }
-  sched.run_until_idle();
-
-  multi_user_summary summary;
-  summary.users.resize(per_user.size());
-  std::uint64_t total = 0;
-  for (std::uint32_t user = 0; user < per_user.size(); ++user) {
-    const tenant_stats ts = sched.stats(user);
-    summary.users[user].user = user;
-    summary.users[user].requests = ts.completed;
-    summary.users[user].mean_latency = ts.mean_latency();
-    summary.users[user].max_latency = ts.max_latency;
-    total += ts.completed;
-  }
-  summary.makespan = controller_.now() - start;
-  summary.throughput =
-      summary.makespan > 0
-          ? static_cast<double>(total) * 1e9 /
-                static_cast<double>(summary.makespan)
-          : 0.0;
-  return summary;
-}
-
 }  // namespace horam

@@ -22,6 +22,7 @@
 #include "shuffle/shuffle.h"
 #include "sim/time.h"
 #include "storage/block_store.h"
+#include "util/rng.h"
 
 namespace horam::shuffle {
 

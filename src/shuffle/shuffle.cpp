@@ -1,9 +1,5 @@
 #include "shuffle/shuffle.h"
 
-#include <cstring>
-
-#include "util/contracts.h"
-
 namespace horam::shuffle {
 
 bool is_permutation(const permutation& pi) {
@@ -15,30 +11,6 @@ bool is_permutation(const permutation& pi) {
     seen[target] = true;
   }
   return true;
-}
-
-permutation invert(const permutation& pi) {
-  expects(is_permutation(pi), "invert requires a valid permutation");
-  permutation inv(pi.size());
-  for (std::uint64_t i = 0; i < pi.size(); ++i) {
-    inv[pi[i]] = i;
-  }
-  return inv;
-}
-
-void apply_permutation(std::span<std::uint8_t> records,
-                       std::size_t record_bytes, const permutation& pi) {
-  expects(record_bytes > 0, "record size must be positive");
-  expects(records.size() == pi.size() * record_bytes,
-          "record buffer size must match permutation size");
-  expects(is_permutation(pi), "apply requires a valid permutation");
-
-  std::vector<std::uint8_t> scratch(records.size());
-  for (std::uint64_t i = 0; i < pi.size(); ++i) {
-    std::memcpy(scratch.data() + pi[i] * record_bytes,
-                records.data() + i * record_bytes, record_bytes);
-  }
-  std::memcpy(records.data(), scratch.data(), records.size());
 }
 
 }  // namespace horam::shuffle

@@ -1,26 +1,22 @@
 // Common types for the shuffle library.
 //
-// The paper's shuffle cast (§3.2, §4.3):
-//   * bitonic oblivious shuffle — used for the oblivious tree evict
-//     (fixed compare-exchange network, data-independent trace);
-//   * Waksman permutation network — classic oblivious alternative;
-//   * Melbourne shuffle — the external-memory oblivious shuffle the
-//     paper cites as the O(4N)-I/O cost it wants to avoid;
-//   * CacheShuffle — the in-memory shuffle H-ORAM uses during the
-//     group-and-partition shuffle;
-//   * Fisher-Yates — the non-oblivious baseline.
+// The shuffles the system runs (§3.2, §4.3):
+//   * the Melbourne shuffle (melbourne.h) — the external-memory
+//     oblivious shuffle the paper cites as the several-passes cost it
+//     wants to avoid; the sqrt backend reshuffles its whole array with
+//     it every period;
+//   * util::random_permutation (util/rng.h) — the in-memory shuffle of
+//     H-ORAM's group-and-partition shuffle (storage_layer re-permutes
+//     each partition in trusted memory with it) and of the Path ORAM
+//     evict.
 //
 // Permutation convention: pi[i] is the NEW position of element i
-// (destination mapping); apply_permutation writes out[pi[i]] = in[i].
+// (destination mapping).
 #ifndef HORAM_SHUFFLE_SHUFFLE_H
 #define HORAM_SHUFFLE_SHUFFLE_H
 
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <vector>
-
-#include "util/rng.h"
 
 namespace horam::shuffle {
 
@@ -30,30 +26,16 @@ using permutation = std::vector<std::uint64_t>;
 /// True iff `pi` is a bijection on {0, ..., pi.size()-1}.
 [[nodiscard]] bool is_permutation(const permutation& pi);
 
-/// Inverse permutation: inv[pi[i]] = i.
-[[nodiscard]] permutation invert(const permutation& pi);
-
-/// Rearranges `records` (n fixed-size records) so that record i moves to
-/// position pi[i]. Not oblivious; used to materialise results.
-void apply_permutation(std::span<std::uint8_t> records,
-                       std::size_t record_bytes, const permutation& pi);
-
-/// Work counters reported by the shuffle algorithms, convertible to
-/// virtual time by the caller's cpu/device models.
+/// Work counters reported by a shuffle, convertible to virtual time by
+/// the caller's cpu/device models.
 struct shuffle_stats {
-  /// Compare-exchange or switch operations executed (network shuffles).
+  /// Records moved through the shuffle's phases.
   std::uint64_t touch_ops = 0;
   /// Record bytes moved through the algorithm.
   std::uint64_t bytes_moved = 0;
-  /// Retries due to bucket overflow (randomised bucket shuffles).
+  /// Retries due to bucket overflow.
   std::uint64_t retries = 0;
-
-  void reset() noexcept { *this = shuffle_stats{}; }
 };
-
-/// Observer invoked for every index pair a network shuffle touches, in
-/// order. Obliviousness tests assert this sequence depends only on n.
-using touch_observer = std::function<void(std::size_t, std::size_t)>;
 
 }  // namespace horam::shuffle
 

@@ -1,14 +1,13 @@
 // End-to-end tests of the H-ORAM controller: data correctness across
 // periods and shuffles (differential testing against a shadow map),
-// scheduling behaviour, policy timing, obliviousness audits of the full
-// bus trace, and the multi-user front end.
+// scheduling behaviour, policy timing and obliviousness audits of the
+// full bus trace.
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "analysis/pattern_audit.h"
 #include "core/controller.h"
-#include "core/multi_user.h"
 #include "sim/profiles.h"
 #include "util/rng.h"
 #include "workload/generators.h"
@@ -313,83 +312,6 @@ TEST(Controller, StorageSmallerThanPathOramBaseline) {
       c.payload_bytes + 8 + crypto::seal_overhead;
   EXPECT_LT(ctrl.storage().physical_bytes(),
             2 * c.block_count * record);
-}
-
-// --------------------------------------------------------- multi-user
-
-TEST(MultiUser, AllUsersServedFairly) {
-  fixture fx;
-  controller ctrl(fx.config(256, 32), fx.disk, fx.memory, fx.cpu, fx.rng);
-  multi_user_frontend frontend(ctrl);
-  util::pcg64 gen(50);
-  std::vector<std::vector<request>> queues(4);
-  for (std::uint32_t user = 0; user < 4; ++user) {
-    for (int i = 0; i < 100; ++i) {
-      queues[user].push_back(request{
-          op_kind::read, util::uniform_below(gen, 256), user, {}});
-    }
-  }
-  const multi_user_summary summary = frontend.run(queues);
-  ASSERT_EQ(summary.users.size(), 4u);
-  for (const user_summary& user : summary.users) {
-    EXPECT_EQ(user.requests, 100u);
-    EXPECT_GT(user.mean_latency, 0);
-  }
-  EXPECT_GT(summary.throughput, 0.0);
-  // Round-robin fairness: mean latencies within 3x of each other.
-  sim::sim_time lo = summary.users[0].mean_latency;
-  sim::sim_time hi = lo;
-  for (const user_summary& user : summary.users) {
-    lo = std::min(lo, user.mean_latency);
-    hi = std::max(hi, user.mean_latency);
-  }
-  EXPECT_LT(hi, 3 * lo);
-}
-
-TEST(MultiUser, AccessControlBlocksOutOfRangeRequests) {
-  fixture fx;
-  controller ctrl(fx.config(256, 32), fx.disk, fx.memory, fx.cpu, fx.rng);
-  multi_user_frontend frontend(ctrl);
-  frontend.grant(0, user_grant{0, 128});
-  frontend.grant(1, user_grant{128, 256});
-
-  std::vector<std::vector<request>> ok(2);
-  ok[0].push_back(request{op_kind::read, 5, 0, {}});
-  ok[1].push_back(request{op_kind::read, 200, 1, {}});
-  EXPECT_NO_THROW(frontend.run(ok));
-
-  std::vector<std::vector<request>> bad(2);
-  bad[0].push_back(request{op_kind::read, 5, 0, {}});
-  bad[1].push_back(request{op_kind::read, 5, 1, {}});  // user 1 forbidden
-  const std::uint64_t cycles_before = ctrl.stats().cycles;
-  EXPECT_THROW(frontend.run(bad), access_denied);
-  // The denial happened before any ORAM work: no observable trace.
-  EXPECT_EQ(ctrl.stats().cycles, cycles_before);
-}
-
-TEST(MultiUser, UngrantedUsersAreUnrestricted) {
-  fixture fx;
-  controller ctrl(fx.config(256, 32), fx.disk, fx.memory, fx.cpu, fx.rng);
-  multi_user_frontend frontend(ctrl);
-  frontend.grant(0, user_grant{0, 10});
-  std::vector<std::vector<request>> queues(2);
-  queues[0].push_back(request{op_kind::read, 3, 0, {}});
-  queues[1].push_back(request{op_kind::read, 250, 1, {}});  // no grant
-  EXPECT_NO_THROW(frontend.run(queues));
-}
-
-TEST(MultiUser, UnevenQueuesDrainCompletely) {
-  fixture fx;
-  controller ctrl(fx.config(256, 32), fx.disk, fx.memory, fx.cpu, fx.rng);
-  multi_user_frontend frontend(ctrl);
-  std::vector<std::vector<request>> queues(3);
-  queues[0].assign(10, request{op_kind::read, 1, 0, {}});
-  queues[1].assign(50, request{op_kind::read, 2, 0, {}});
-  queues[2].assign(1, request{op_kind::read, 3, 0, {}});
-  const multi_user_summary summary = frontend.run(queues);
-  EXPECT_EQ(summary.users[0].requests, 10u);
-  EXPECT_EQ(summary.users[1].requests, 50u);
-  EXPECT_EQ(summary.users[2].requests, 1u);
 }
 
 // --------------------------------------------------- parameter sweeps

@@ -1,16 +1,17 @@
-// Cross-module integration tests: H-ORAM against the baseline ORAMs on
-// identical virtual machines, cost-shape properties the paper's
-// argument depends on, file-backed trace round trips, and edge /
+// Cross-module integration tests: H-ORAM against the sqrt and partition
+// backends on identical virtual machines, cost-shape properties the
+// paper's argument depends on, file-backed trace round trips, and edge /
 // degenerate configurations.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 
 #include "core/controller.h"
-#include "oram/partition/partition_oram.h"
-#include "oram/sqrt/sqrt_oram.h"
+#include "horam.h"
 #include "sim/buffer_cache.h"
 #include "sim/profiles.h"
 #include "util/rng.h"
@@ -32,8 +33,10 @@ TEST(CostShapes, HoramHitsCostLessIoThanSqrtAccesses) {
   sim::block_device horam_disk(sim::hdd_paper());
   sim::block_device horam_memory(sim::dram_ddr4());
   sim::block_device sqrt_disk(sim::hdd_paper());
+  sim::block_device cached_sqrt_disk(sim::hdd_paper());
+  sim::block_device cached_sqrt_memory(sim::dram_ddr4());
   const sim::cpu_model cpu(sim::cpu_aesni());
-  util::pcg64 rng_a(81), rng_b(82);
+  util::pcg64 rng_a(81), rng_b(82), rng_c(84);
 
   horam_config config;
   config.block_count = 1024;
@@ -42,27 +45,57 @@ TEST(CostShapes, HoramHitsCostLessIoThanSqrtAccesses) {
   config.seal = false;
   controller horam_ctrl(config, horam_disk, horam_memory, cpu, rng_a);
 
-  oram::sqrt_oram_config sqrt_config;
-  sqrt_config.block_count = 1024;
-  sqrt_config.payload_bytes = 32;
-  sqrt_config.seal = false;
-  oram::sqrt_oram sqrt(sqrt_config, sqrt_disk, cpu, rng_b, nullptr);
-
-  // Same hot workload on both.
+  // Same hot workload on all three.
   util::pcg64 wl(83);
   workload::stream_config stream;
   stream.request_count = 2000;
   stream.block_count = 1024;
   stream.payload_bytes = 32;
   const auto requests = workload::hotspot(wl, stream, 0.8, 0.05);
-
   horam_ctrl.run(requests);
-  for (const request& req : requests) {
-    sqrt.access(req.op, req.id, req.write_data, {});
+
+  // The sqrt backend driven as the classic scheme: a miss loads its
+  // block into the shelter, a shelter hit reads the next dummy, and
+  // every period folds the shelter back in and reshuffles.
+  const std::unique_ptr<oram_backend> sqrt = make_backend(
+      backend_kind::sqrt, config, sqrt_disk, cpu, rng_b, nullptr, nullptr);
+  std::map<block_id, std::vector<std::uint8_t>> shelter;
+  std::uint64_t periods = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (sqrt->in_storage(requests[i].id)) {
+      shelter[requests[i].id] = sqrt->load_block(requests[i].id).payload;
+    } else {
+      (void)sqrt->dummy_load();
+    }
+    if ((i + 1) % config.period_loads() == 0) {
+      std::vector<oram::evicted_block> evicted;
+      for (auto& [id, payload] : shelter) {
+        evicted.push_back(oram::evicted_block{id, std::move(payload)});
+      }
+      shelter.clear();
+      std::vector<oram::evicted_block> overflow;
+      (void)sqrt->shuffle_period(std::move(evicted), periods++, overflow);
+      ASSERT_TRUE(overflow.empty());
+    }
   }
-  // Storage reads: H-ORAM one per cycle; sqrt one per request.
+  sqrt->check_consistency();
+
+  // The same sqrt store behind the H-ORAM controller.
+  controller cached_sqrt(
+      config,
+      make_backend(backend_kind::sqrt, config, cached_sqrt_disk, cpu, rng_c,
+                   nullptr, nullptr),
+      cached_sqrt_memory, cpu, rng_c);
+  cached_sqrt.run(requests);
+
+  // Storage reads: H-ORAM one per cycle; classic sqrt one per request.
   EXPECT_LT(horam_ctrl.stats().cycles, 2000u);
-  EXPECT_GE(sqrt.stats().accesses, 2000u);
+  const backend_stats& classic = sqrt->stats();
+  EXPECT_EQ(classic.real_loads + classic.dummy_loads, 2000u);
+  EXPECT_EQ(classic.exhausted_dummy_loads, 0u);
+  EXPECT_GT(periods, 0u);
+  const backend_stats& cached = cached_sqrt.backend().stats();
+  EXPECT_LT(cached.real_loads + cached.dummy_loads, 2000u);
 }
 
 TEST(CostShapes, HoramAccessPeriodIoIsOneBlockPerCycle) {
@@ -115,27 +148,66 @@ TEST(CostShapes, ShuffleTrafficIsOverwhelminglySequential) {
   const auto& io = disk.stats();
   ASSERT_GT(io.write_ops, 0u);
   EXPECT_GT(io.bytes_written / io.write_ops,
-            10 * config.logical_block_bytes == 0
-                ? 10 * (config.payload_bytes + 8)
-                : 10 * (config.payload_bytes + 8));
+            10 * (config.payload_bytes + 8));
 }
 
 TEST(CostShapes, PartitionOramShufflesMoreOftenButSmaller) {
-  // §2.1.4 vs §4.3: partition ORAM shuffles one partition every v
-  // accesses; H-ORAM batches a whole period then shuffles everything.
+  // §2.1.4 vs §4.3: partition ORAM shuffles one ~sqrt(N)-block
+  // partition at a time, in isolation — many small streamed rewrites
+  // per period instead of one pass over the whole store.
   sim::block_device disk(sim::hdd_paper());
+  sim::block_device memory(sim::dram_ddr4());
   const sim::cpu_model cpu(sim::cpu_aesni());
   util::pcg64 rng(87);
-  oram::partition_oram_config config;
+  oram::access_trace trace;
+  horam_config config;
   config.block_count = 1024;
+  config.memory_blocks = 128;
   config.payload_bytes = 32;
+  config.logical_block_bytes = 1024;
   config.seal = false;
-  oram::partition_oram oram(config, disk, cpu, rng, nullptr);
-  util::pcg64 driver(88);
-  for (int i = 0; i < 500; ++i) {
-    oram.access(op_kind::read, util::uniform_below(driver, 1024), {}, {});
+  controller ctrl(config,
+                  make_backend(backend_kind::partition, config, disk, cpu,
+                               rng, &trace, nullptr),
+                  memory, cpu, rng, &trace);
+  util::pcg64 wl(88);
+  workload::stream_config stream;
+  stream.request_count = 500;
+  stream.block_count = 1024;
+  stream.payload_bytes = 32;
+  ctrl.run(workload::uniform(wl, stream));
+  // Then a cached working set, so most cycles load a dummy slot.
+  std::vector<request> hot;
+  for (block_id i = 0; i < 2000; ++i) {
+    hot.push_back(request{op_kind::read, i % 16, 0, {}});
   }
-  EXPECT_GT(oram.stats().evictions, 10u);  // many small shuffles
+  ctrl.run(hot);
+
+  const auto& backend =
+      dynamic_cast<const oram::partition_backend&>(ctrl.backend());
+  const std::uint64_t shuffled = backend.stats().partitions_shuffled;
+  ASSERT_GT(ctrl.stats().periods, 0u);
+  EXPECT_GT(shuffled, 10u);                     // many small shuffles
+  EXPECT_GT(shuffled, ctrl.stats().periods);    // several per period
+  const std::uint64_t capacity = backend.geometry().main_capacity;
+  EXPECT_LT(capacity, config.block_count / 8);  // each one ~sqrt(N)
+  // Each rewrite streams exactly one partition back out.
+  EXPECT_EQ(disk.stats().write_ops, shuffled);
+  EXPECT_EQ(disk.stats().bytes_written,
+            shuffled * capacity * config.logical_block_bytes);
+
+  // Between two rewrites of its partition no slot is read twice.
+  std::set<std::uint64_t> read_since_rewrite;
+  for (const oram::trace_event& event : trace.events()) {
+    if (event.kind == oram::event_kind::storage_read_slot) {
+      ASSERT_TRUE(read_since_rewrite.insert(event.a).second)
+          << "slot " << event.a << " read twice";
+    } else if (event.kind == oram::event_kind::storage_write_sweep) {
+      read_since_rewrite.erase(read_since_rewrite.lower_bound(event.a),
+                               read_since_rewrite.lower_bound(event.a +
+                                                              event.b));
+    }
+  }
 }
 
 // ------------------------------------------------- page-cache effect

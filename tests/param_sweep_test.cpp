@@ -1,15 +1,16 @@
 // Parameterised property sweeps across the dimensions the rest of the
-// suite holds fixed: Path ORAM bucket size Z and payload size,
-// square-root ORAM dummy/period geometry, Melbourne quotas, device
+// suite holds fixed: Path ORAM bucket size Z and payload size, the sqrt
+// backend over block count x memory size, Melbourne quotas, device
 // profile properties, and end-to-end H-ORAM bucket-size variation.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <tuple>
 
 #include "core/controller.h"
+#include "horam.h"
 #include "oram/path/path_oram.h"
-#include "oram/sqrt/sqrt_oram.h"
 #include "shuffle/melbourne.h"
 #include "sim/profiles.h"
 #include "util/rng.h"
@@ -72,31 +73,35 @@ TEST_P(PathOramZSweep, DifferentialCorrectnessAndStashBound) {
   EXPECT_LT(oram.stash_ref().peak_size(), bound) << "Z=" << z;
 }
 
-// -------------------------------------------- sqrt ORAM geometry sweep
+// ------------------------------------------ sqrt backend geometry sweep
 
 class SqrtGeometry
     : public ::testing::TestWithParam<std::tuple<std::uint64_t,
                                                  std::uint64_t>> {};
 
 INSTANTIATE_TEST_SUITE_P(Geometries, SqrtGeometry,
-                         ::testing::Combine(::testing::Values(16u, 64u,
-                                                              100u),
-                                            ::testing::Values(2u, 8u,
-                                                              16u)));
+                         ::testing::Combine(::testing::Values(64u, 100u,
+                                                              256u),
+                                            ::testing::Values(8u, 16u,
+                                                              32u)));
 
-TEST_P(SqrtGeometry, CorrectAcrossDummyAndPeriodChoices) {
-  const auto [n, period] = GetParam();
+TEST_P(SqrtGeometry, CorrectAcrossBlockAndMemorySizes) {
+  const auto [n, memory_blocks] = GetParam();
   sim::block_device disk(sim::hdd_paper());
+  sim::block_device memory(sim::dram_ddr4());
   const sim::cpu_model cpu(sim::cpu_aesni());
-  util::pcg64 rng(3000 + n + period);
+  util::pcg64 rng(3000 + n + memory_blocks);
+  oram::access_trace trace;
 
-  oram::sqrt_oram_config config;
+  horam_config config;
   config.block_count = n;
-  config.dummy_count = period;  // minimum legal: one dummy per hit
-  config.period = period;
+  config.memory_blocks = memory_blocks;  // period: memory_blocks / 2 loads
   config.payload_bytes = 16;
   config.seal = false;
-  oram::sqrt_oram oram(config, disk, cpu, rng, nullptr);
+  controller ctrl(config,
+                  make_backend(backend_kind::sqrt, config, disk, cpu, rng,
+                               &trace, nullptr),
+                  memory, cpu, rng, &trace);
 
   std::map<block_id, std::uint8_t> shadow;
   util::pcg64 driver(4000 + n);
@@ -104,16 +109,29 @@ TEST_P(SqrtGeometry, CorrectAcrossDummyAndPeriodChoices) {
     const block_id id = util::uniform_below(driver, n);
     if (util::bernoulli(driver, 0.5)) {
       const auto tag = static_cast<std::uint8_t>(step);
-      oram.access(op_kind::write, id,
-                  std::vector<std::uint8_t>(16, tag), {});
+      ctrl.write(id, std::vector<std::uint8_t>(16, tag));
       shadow[id] = tag;
     } else if (shadow.contains(id)) {
-      std::vector<std::uint8_t> out(16);
-      oram.access(op_kind::read, id, {}, out);
-      ASSERT_EQ(out[0], shadow[id]) << "n=" << n << " T=" << period;
+      ASSERT_EQ(ctrl.read(id)[0], shadow[id])
+          << "n=" << n << " memory=" << memory_blocks;
     }
   }
-  EXPECT_GT(oram.stats().reshuffles, 0u);
+  EXPECT_GT(ctrl.stats().periods, 0u);
+  EXPECT_GT(ctrl.backend().stats().partitions_shuffled, 0u);
+  EXPECT_EQ(ctrl.backend().stats().exhausted_dummy_loads, 0u);
+  ctrl.backend().check_consistency();
+
+  // The square-root invariant: between two reshuffles no storage slot
+  // is read twice (a repeat would correlate with a cache hit).
+  std::set<std::uint64_t> slots;
+  for (const oram::trace_event& event : trace.events()) {
+    if (event.kind == oram::event_kind::shuffle_begin) {
+      slots.clear();
+    } else if (event.kind == oram::event_kind::storage_read_slot) {
+      ASSERT_TRUE(slots.insert(event.a).second)
+          << "slot " << event.a << " read twice in one period";
+    }
+  }
 }
 
 // -------------------------------------------------- melbourne quotas

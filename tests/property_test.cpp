@@ -11,7 +11,6 @@
 #include "core/controller.h"
 #include "core/storage_layer.h"
 #include "crypto/chacha20.h"
-#include "shuffle/bitonic.h"
 #include "sim/profiles.h"
 #include "util/rng.h"
 #include "workload/generators.h"
@@ -156,23 +155,6 @@ TEST(Distribution, StorageLoadsAreUniformOverSlots) {
   const double chi2 = analysis::chi_square_uniform(per_partition);
   EXPECT_LT(chi2, analysis::chi_square_threshold(per_partition.size() -
                                                  1));
-}
-
-TEST(Distribution, BitonicTouchCountIsSizeDeterministic) {
-  // Network size is the only input that may influence the touch count.
-  for (const std::uint64_t n : {5ULL, 12ULL, 100ULL, 333ULL}) {
-    std::uint64_t counts[3] = {0, 0, 0};
-    for (int trial = 0; trial < 3; ++trial) {
-      util::pcg64 rng(test::seed(static_cast<std::uint64_t>(trial) * 7919 + n));
-      std::vector<std::uint8_t> records(n * 8);
-      shuffle::shuffle_stats stats;
-      shuffle::bitonic_shuffle(rng, records, 8, &stats);
-      counts[trial] = stats.touch_ops;
-    }
-    EXPECT_EQ(counts[0], counts[1]);
-    EXPECT_EQ(counts[1], counts[2]);
-    EXPECT_EQ(counts[0], shuffle::bitonic_compare_exchange_count(n));
-  }
 }
 
 // ------------------------------------------------ controller accounting

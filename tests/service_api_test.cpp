@@ -128,28 +128,33 @@ TEST(ServiceApi, StepReturnsFalseWhenIdle) {
 }
 
 TEST(ServiceApi, RunUntilIdleDrainsEveryTenant) {
-  service svc = small_builder().build_service();
-  std::vector<session> users;
-  std::vector<ticket> tickets;
-  util::pcg64 gen(11);
-  for (int u = 0; u < 3; ++u) {
-    users.push_back(svc.open_session());
-  }
-  for (session& user : users) {
-    for (int i = 0; i < 50; ++i) {
-      tickets.push_back(
-          user.async_read(util::uniform_below(gen, 256)));
+  // Even and uneven per-tenant queues alike drain completely.
+  for (const std::vector<std::uint64_t>& depths :
+       {std::vector<std::uint64_t>{50, 50, 50},
+        std::vector<std::uint64_t>{10, 50, 1}}) {
+    service svc = small_builder().build_service();
+    std::vector<session> users;
+    std::vector<ticket> tickets;
+    util::pcg64 gen(11);
+    for (std::size_t u = 0; u < depths.size(); ++u) {
+      users.push_back(svc.open_session());
     }
-  }
-  svc.run_until_idle();
-  EXPECT_EQ(svc.pending(), 0u);
-  EXPECT_TRUE(svc.idle());
-  for (ticket& t : tickets) {
-    EXPECT_TRUE(t.ready());
-  }
-  for (const session& user : users) {
-    EXPECT_EQ(user.stats().completed, 50u);
-    EXPECT_EQ(user.pending(), 0u);
+    for (std::size_t u = 0; u < depths.size(); ++u) {
+      for (std::uint64_t i = 0; i < depths[u]; ++i) {
+        tickets.push_back(
+            users[u].async_read(util::uniform_below(gen, 256)));
+      }
+    }
+    svc.run_until_idle();
+    EXPECT_EQ(svc.pending(), 0u);
+    EXPECT_TRUE(svc.idle());
+    for (ticket& t : tickets) {
+      EXPECT_TRUE(t.ready());
+    }
+    for (std::size_t u = 0; u < depths.size(); ++u) {
+      EXPECT_EQ(users[u].stats().completed, depths[u]) << "tenant " << u;
+      EXPECT_EQ(users[u].pending(), 0u);
+    }
   }
 }
 
@@ -191,6 +196,7 @@ TEST(ServiceApi, RoundRobinKeepsLatenciesBalanced) {
   for (const session& user : users) {
     const tenant_stats ts = user.stats();
     EXPECT_EQ(ts.completed, 100u);
+    EXPECT_GT(ts.throughput, 0.0);
     lo = std::min(lo, ts.mean_latency());
     hi = std::max(hi, ts.mean_latency());
   }

@@ -1,18 +1,10 @@
-// Tests for src/shuffle: permutation helpers, the four shuffle
-// algorithms (correctness, obliviousness, uniformity) and their cost
-// accounting. Parameterised suites sweep sizes, including non-powers of
-// two and degenerate cases.
+// Tests for src/shuffle: the permutation check and the Melbourne
+// shuffle (every record moved, I/O volume, quota exhaustion), swept over
+// sizes including non-powers of two and degenerate cases.
 #include <gtest/gtest.h>
 
-#include <map>
-#include <numeric>
-
-#include "shuffle/bitonic.h"
-#include "shuffle/cache_shuffle.h"
-#include "shuffle/fisher_yates.h"
 #include "shuffle/melbourne.h"
 #include "shuffle/shuffle.h"
-#include "shuffle/waksman.h"
 #include "sim/profiles.h"
 #include "storage/block_store.h"
 #include "util/rng.h"
@@ -54,220 +46,6 @@ TEST(Permutation, IsPermutationDetectsDefects) {
   EXPECT_FALSE(is_permutation({0, 0}));
   EXPECT_FALSE(is_permutation({0, 2}));
   EXPECT_FALSE(is_permutation({3, 0, 1}));
-}
-
-TEST(Permutation, InvertRoundTrip) {
-  util::pcg64 rng(1);
-  const permutation pi = util::random_permutation(rng, 50);
-  const permutation inv = invert(pi);
-  for (std::uint64_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(inv[pi[i]], i);
-  }
-}
-
-TEST(Permutation, ApplyMovesRecordsToDestinations) {
-  auto records = indexed_records(5);
-  apply_permutation(records, kRecordBytes, {4, 3, 2, 1, 0});
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(record_value(records, 4 - i), i);
-  }
-}
-
-TEST(Permutation, ApplyRejectsMismatchedSizes) {
-  auto records = indexed_records(4);
-  EXPECT_THROW(apply_permutation(records, kRecordBytes, {0, 1, 2}),
-               horam::contract_error);
-}
-
-// --------------------------------------------- parameterised size sweep
-
-class ShuffleSizes : public ::testing::TestWithParam<std::uint64_t> {};
-
-INSTANTIATE_TEST_SUITE_P(Sizes, ShuffleSizes,
-                         ::testing::Values(1, 2, 3, 4, 7, 8, 15, 16, 33,
-                                           64, 100, 127, 128, 255, 500));
-
-TEST_P(ShuffleSizes, FisherYatesIsPermutation) {
-  const std::uint64_t n = GetParam();
-  util::pcg64 rng(n);
-  auto records = indexed_records(n);
-  const permutation pi = fisher_yates(rng, records, kRecordBytes);
-  ASSERT_TRUE(is_permutation(pi));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    EXPECT_EQ(record_value(records, pi[i]), i);
-  }
-}
-
-TEST_P(ShuffleSizes, BitonicShuffleIsPermutation) {
-  const std::uint64_t n = GetParam();
-  util::pcg64 rng(n + 1);
-  auto records = indexed_records(n);
-  const permutation pi = bitonic_shuffle(rng, records, kRecordBytes);
-  ASSERT_TRUE(is_permutation(pi));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    EXPECT_EQ(record_value(records, pi[i]), i);
-  }
-}
-
-TEST_P(ShuffleSizes, WaksmanRealisesRequestedPermutation) {
-  const std::uint64_t n = GetParam();
-  util::pcg64 rng(n + 2);
-  const permutation target = util::random_permutation(rng, n);
-  const waksman_network network = build_waksman(target);
-  auto records = indexed_records(n);
-  apply_waksman(network, records, kRecordBytes);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    EXPECT_EQ(record_value(records, target[i]), i);
-  }
-}
-
-// ------------------------------------------------------------- bitonic
-
-TEST(Bitonic, NetworkSortsAnyInput) {
-  util::pcg64 rng(9);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<std::uint64_t> values(64);
-    for (auto& v : values) {
-      v = util::uniform_below(rng, 1000);
-    }
-    bitonic_network(
-        values.size(),
-        [&](std::size_t a, std::size_t b) { return values[a] < values[b]; },
-        [&](std::size_t a, std::size_t b) {
-          std::swap(values[a], values[b]);
-        });
-    EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
-  }
-}
-
-TEST(Bitonic, NetworkRequiresPowerOfTwo) {
-  EXPECT_THROW(bitonic_network(
-                   3, [](std::size_t, std::size_t) { return false; },
-                   [](std::size_t, std::size_t) {}),
-               horam::contract_error);
-}
-
-TEST(Bitonic, TouchSequenceIsDataIndependent) {
-  // The pair sequence must be identical for different data and
-  // different randomness — this is the obliviousness property.
-  const auto collect = [](std::uint64_t seed) {
-    util::pcg64 rng(seed);
-    auto records = indexed_records(33);
-    std::vector<std::pair<std::size_t, std::size_t>> touches;
-    bitonic_shuffle(rng, records, kRecordBytes, nullptr,
-                    [&](std::size_t a, std::size_t b) {
-                      touches.emplace_back(a, b);
-                    });
-    return touches;
-  };
-  EXPECT_EQ(collect(1), collect(999));
-}
-
-TEST(Bitonic, CompareExchangeCountMatchesFormula) {
-  util::pcg64 rng(10);
-  for (const std::uint64_t n : {2ULL, 16ULL, 33ULL, 64ULL}) {
-    auto records = indexed_records(n);
-    shuffle_stats stats;
-    bitonic_shuffle(rng, records, kRecordBytes, &stats);
-    EXPECT_EQ(stats.touch_ops, bitonic_compare_exchange_count(n))
-        << "n = " << n;
-  }
-}
-
-TEST(Bitonic, CountFormula) {
-  EXPECT_EQ(bitonic_compare_exchange_count(1), 0u);
-  EXPECT_EQ(bitonic_compare_exchange_count(2), 1u);
-  // m = 4: 2 stages -> 3 passes * 2 pairs = 6.
-  EXPECT_EQ(bitonic_compare_exchange_count(4), 6u);
-  // padding: n = 3 behaves like m = 4.
-  EXPECT_EQ(bitonic_compare_exchange_count(3), 6u);
-  // m = 8: 3 stages -> 6 passes * 4 pairs = 24.
-  EXPECT_EQ(bitonic_compare_exchange_count(8), 24u);
-}
-
-TEST(Bitonic, ShuffleUniformity) {
-  // n = 4: all 24 permutations should appear ~equally often.
-  util::pcg64 rng(11);
-  std::map<permutation, int> counts;
-  constexpr int trials = 12000;
-  for (int t = 0; t < trials; ++t) {
-    auto records = indexed_records(4);
-    counts[bitonic_shuffle(rng, records, kRecordBytes)]++;
-  }
-  EXPECT_EQ(counts.size(), 24u);
-  const double expected = trials / 24.0;
-  double chi2 = 0.0;
-  for (const auto& [pi, count] : counts) {
-    chi2 += (count - expected) * (count - expected) / expected;
-  }
-  EXPECT_LT(chi2, 64.0);  // dof 23; far beyond 5 sigma
-}
-
-// ------------------------------------------------------------- waksman
-
-TEST(Waksman, IdentityAndReversal) {
-  for (const std::uint64_t n : {2ULL, 8ULL, 16ULL}) {
-    permutation identity(n);
-    std::iota(identity.begin(), identity.end(), 0ULL);
-    auto records = indexed_records(n);
-    apply_waksman(build_waksman(identity), records, kRecordBytes);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(record_value(records, i), i);
-    }
-    permutation reversal(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      reversal[i] = n - 1 - i;
-    }
-    records = indexed_records(n);
-    apply_waksman(build_waksman(reversal), records, kRecordBytes);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(record_value(records, n - 1 - i), i);
-    }
-  }
-}
-
-TEST(Waksman, SwitchPositionsDependOnlyOnSize) {
-  // Network *shape* is public; only the settings are secret.
-  util::pcg64 rng(12);
-  const auto shape = [&](const permutation& pi) {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> positions;
-    for (const waksman_switch& sw : build_waksman(pi).switches) {
-      positions.emplace_back(sw.a, sw.b);
-    }
-    return positions;
-  };
-  const permutation a = util::random_permutation(rng, 32);
-  const permutation b = util::random_permutation(rng, 32);
-  EXPECT_EQ(shape(a), shape(b));
-}
-
-TEST(Waksman, SwitchCountIsNLogNish) {
-  // Benes network on m = 2^k inputs has m*k - m/2... switches; ours
-  // includes all of them: count = m*k - m + 1 for the recursive
-  // construction with single-switch base case. Just sanity-bound it.
-  const permutation pi = invert({5, 3, 7, 1, 0, 2, 6, 4});
-  const waksman_network network = build_waksman(pi);
-  EXPECT_EQ(network.padded_size, 8u);
-  EXPECT_GE(network.switches.size(), 8u * 3u / 2u);
-  EXPECT_LE(network.switches.size(), 8u * 3u);
-}
-
-TEST(Waksman, ManyRandomPermutations) {
-  util::pcg64 rng(13);
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::uint64_t n = 1 + util::uniform_below(rng, 60);
-    const permutation target = util::random_permutation(rng, n);
-    auto records = indexed_records(n);
-    apply_waksman(build_waksman(target), records, kRecordBytes);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      ASSERT_EQ(record_value(records, target[i]), i)
-          << "n=" << n << " trial=" << trial;
-    }
-  }
-}
-
-TEST(Waksman, RejectsNonPermutation) {
-  EXPECT_THROW(build_waksman({0, 0, 1}), horam::contract_error);
 }
 
 // --------------------------------------------------- external shuffles
@@ -318,24 +96,6 @@ TEST_P(ExternalShuffleSizes, MelbourneMovesEveryRecord) {
   }
 }
 
-TEST_P(ExternalShuffleSizes, CacheShuffleMovesEveryRecord) {
-  const std::uint64_t n = GetParam();
-  cache_shuffle_config config;
-  config.client_memory_records = 16;  // force multiple buckets
-  external_fixture fx(n, cache_shuffle_scratch_records(n, config));
-  util::pcg64 rng(n + 4);
-  const external_shuffle_result result =
-      cache_shuffle(*fx.input, *fx.scratch, *fx.output, rng, config);
-  ASSERT_TRUE(is_permutation(result.pi));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    EXPECT_EQ(record_value(
-                  std::vector<std::uint8_t>(fx.output->peek(result.pi[i]).begin(),
-                                            fx.output->peek(result.pi[i]).end()),
-                  0),
-              i);
-  }
-}
-
 TEST(Melbourne, IoVolumeMatchesQuotaModel) {
   // Phase 1 reads n and writes ~quota*n; phase 2 reads ~quota*n and
   // writes n — the several-passes cost H-ORAM's shuffle avoids.
@@ -358,38 +118,6 @@ TEST(Melbourne, TinyQuotaEventuallyThrows) {
   EXPECT_THROW(
       melbourne_shuffle(*fx.input, *fx.scratch, *fx.output, rng, config),
       std::runtime_error);
-}
-
-TEST(CacheShuffle, UniformityOverSmallDomain) {
-  // n = 4 with forced multi-bucket spraying: all 24 permutations appear.
-  cache_shuffle_config config;
-  config.client_memory_records = 2;
-  std::map<permutation, int> counts;
-  constexpr int trials = 6000;
-  util::pcg64 rng(22);
-  for (int t = 0; t < trials; ++t) {
-    external_fixture fx(4, cache_shuffle_scratch_records(4, config));
-    counts[cache_shuffle(*fx.input, *fx.scratch, *fx.output, rng, config)
-               .pi]++;
-  }
-  EXPECT_EQ(counts.size(), 24u);
-  const double expected = trials / 24.0;
-  double chi2 = 0.0;
-  for (const auto& [pi, count] : counts) {
-    chi2 += (count - expected) * (count - expected) / expected;
-  }
-  EXPECT_LT(chi2, 64.0);
-}
-
-TEST(CacheShuffle, DegeneratesToInMemoryWithLargeClient) {
-  cache_shuffle_config config;
-  config.client_memory_records = 1 << 20;
-  external_fixture fx(100, cache_shuffle_scratch_records(100, config));
-  util::pcg64 rng(23);
-  const auto result =
-      cache_shuffle(*fx.input, *fx.scratch, *fx.output, rng, config);
-  EXPECT_TRUE(is_permutation(result.pi));
-  EXPECT_EQ(result.stats.retries, 0u);
 }
 
 }  // namespace
