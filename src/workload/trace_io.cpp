@@ -1,10 +1,12 @@
 #include "workload/trace_io.h"
 
+#include <charconv>
 #include <istream>
+#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "workload/generators.h"
@@ -13,23 +15,21 @@ namespace horam::workload {
 
 namespace {
 
-/// Parses a full numeric field; throws naming the 1-based file line on
-/// anything std::stoull would reject (or trailing junk it would
-/// silently ignore).
-std::uint64_t parse_field(const std::string& text, const char* field,
-                          std::uint64_t file_line) {
-  try {
-    std::size_t consumed = 0;
-    const std::uint64_t value = std::stoull(text, &consumed);
-    if (consumed != text.size()) {
-      throw std::invalid_argument("trailing characters");
-    }
-    return value;
-  } catch (const std::exception&) {
+/// Parses a whole unsigned decimal field no larger than `max`; throws
+/// naming the 1-based file line on anything else: empty, a sign,
+/// whitespace, trailing junk, or a value out of range (std::stoull
+/// would accept the sign and the whitespace).
+std::uint64_t parse_field(std::string_view text, const char* field,
+                          std::uint64_t max, std::uint64_t file_line) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || value > max) {
     throw std::runtime_error("trace line " + std::to_string(file_line) +
-                             ": malformed " + field + " field '" + text +
-                             "'");
+                             ": malformed " + field + " field '" +
+                             std::string(text) + "'");
   }
+  return value;
 }
 
 }  // namespace
@@ -62,16 +62,20 @@ std::vector<request> load_trace(std::istream& in,
     if (line.empty() || line[0] == '#') {
       continue;
     }
-    std::istringstream fields(line);
-    std::string op_text;
-    std::string id_text;
-    std::string user_text;
-    if (!std::getline(fields, op_text, ',') ||
-        !std::getline(fields, id_text, ',')) {
+    std::vector<std::string_view> fields;
+    std::string_view rest = line;
+    for (std::size_t comma = rest.find(','); comma != std::string_view::npos;
+         comma = rest.find(',')) {
+      fields.push_back(rest.substr(0, comma));
+      rest.remove_prefix(comma + 1);
+    }
+    fields.push_back(rest);
+    if (fields.size() < 2 || fields.size() > 3) {
       throw std::runtime_error("trace line " + std::to_string(file_line) +
                                ": expected 'op,id[,user]'");
     }
-    std::getline(fields, user_text, ',');
+    const std::string_view op_text = fields[0];
+    const std::string_view user_text = fields.size() == 3 ? fields[2] : "";
 
     request req;
     if (op_text == "W") {
@@ -82,11 +86,15 @@ std::vector<request> load_trace(std::istream& in,
       throw std::runtime_error("trace line " + std::to_string(file_line) +
                                ": op must be R or W");
     }
-    req.id = parse_field(id_text, "id", file_line);
+    req.id = parse_field(fields[1], "id",
+                         std::numeric_limits<oram::block_id>::max(),
+                         file_line);
     req.user = user_text.empty()
                    ? 0
-                   : static_cast<std::uint32_t>(
-                         parse_field(user_text, "user", file_line));
+                   : static_cast<std::uint32_t>(parse_field(
+                         user_text, "user",
+                         std::numeric_limits<std::uint32_t>::max(),
+                         file_line));
     if (req.op == oram::op_kind::write) {
       req.write_data =
           payload_for(req.id, write_ordinal[req.id]++, payload_bytes);

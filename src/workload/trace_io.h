@@ -1,9 +1,11 @@
 // Request-trace serialisation: simple CSV so traces can be captured,
 // replayed and diffed across runs and implementations.
 //
-// Format: one line per request, "op,id,user" with op in {R, W}; blank
-// lines and '#' comments are skipped, and a trailing CR (CRLF files) is
-// tolerated. Write payloads are regenerated from (id, per-id write
+// Format: one line per request, "op,id,user" with op in {R, W}, id and
+// user plain unsigned decimal (user fits 32 bits; omitted or empty = 0);
+// signs, whitespace, out-of-range values and extra fields are errors.
+// Blank lines and '#' comments are skipped, and a trailing CR (CRLF
+// files) is tolerated. Write payloads are regenerated from (id, per-id write
 // ordinal) via payload_for, so a trace file fully determines the run
 // and inserting comments or reordering unrelated lines never changes
 // what a write stores.

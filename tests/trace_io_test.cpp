@@ -1,10 +1,11 @@
 // Tests of the request-trace CSV serialisation (workload/trace_io):
 // save/load round-trips (including comments, blank lines and CRLF
 // endings), malformed-input diagnostics that name the 1-based line of
-// the *file* rather than of the parsed request stream, and the payload
-// model — write payloads derive from (id, per-id write ordinal), so a
-// trace file fully determines the run and editing unrelated lines
-// never changes what a write stores.
+// the *file* rather than of the parsed request stream (signs,
+// whitespace, out-of-range values and extra fields included), and the
+// payload model — write payloads derive from (id, per-id write
+// ordinal), so a trace file fully determines the run and editing
+// unrelated lines never changes what a write stores.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -150,10 +151,57 @@ TEST(TraceIo, MissingFieldsAreAnError) {
   EXPECT_NE(message.find("op,id"), std::string::npos) << message;
 }
 
+TEST(TraceIo, SignedNumbersAreAnError) {
+  // std::stoull accepts a sign and would load "-1" as 2^64 - 1.
+  std::string message = message_of("R,-1\n");
+  EXPECT_NE(message.find("line 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("malformed id field '-1'"), std::string::npos)
+      << message;
+  message = message_of("R,1,0\nW,+3,-2\n");
+  EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("malformed id field '+3'"), std::string::npos)
+      << message;
+  message = message_of("W,3,-2\n");
+  EXPECT_NE(message.find("malformed user field '-2'"), std::string::npos)
+      << message;
+}
+
+TEST(TraceIo, OutOfRangeNumbersAreAnError) {
+  // Users are 32 bits wide: 2^32 must not wrap to user 0.
+  std::string message = message_of("R,1,4294967296\n");
+  EXPECT_NE(message.find("line 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("malformed user"), std::string::npos) << message;
+  message = message_of("R,18446744073709551616\n");
+  EXPECT_NE(message.find("malformed id"), std::string::npos) << message;
+  // The widest values still load.
+  const std::vector<request> widest =
+      load("R,18446744073709551615,4294967295\n");
+  ASSERT_EQ(widest.size(), 1u);
+  EXPECT_EQ(widest[0].id, 18446744073709551615u);
+  EXPECT_EQ(widest[0].user, 4294967295u);
+}
+
+TEST(TraceIo, ExtraFieldIsAnError) {
+  // A fourth field would otherwise be dropped unseen.
+  const std::string message = message_of("R,1,2\nR,1,2,junk\n");
+  EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("op,id"), std::string::npos) << message;
+}
+
+TEST(TraceIo, WhitespaceInANumberIsAnError) {
+  // std::stoull skips leading whitespace; the loader must not.
+  std::string message = message_of("R, 7\n");
+  EXPECT_NE(message.find("malformed id field ' 7'"), std::string::npos)
+      << message;
+  message = message_of("R,7,\t1\n");
+  EXPECT_NE(message.find("malformed user"), std::string::npos) << message;
+}
+
 TEST(TraceIo, OmittedUserDefaultsToZero) {
-  const std::vector<request> stream = load("R,41\n");
-  ASSERT_EQ(stream.size(), 1u);
+  const std::vector<request> stream = load("R,41\nR,42,\n");
+  ASSERT_EQ(stream.size(), 2u);
   EXPECT_EQ(stream[0].user, 0u);
+  EXPECT_EQ(stream[1].user, 0u);
 }
 
 }  // namespace
