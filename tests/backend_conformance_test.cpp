@@ -335,6 +335,75 @@ TEST_P(BackendConformance, NameRoundTripsThroughParserAndBuilder) {
   EXPECT_EQ(oram.read(5), std::vector<std::uint8_t>(8, 0));
 }
 
+// The filler seeds the initial image: every block loads back with the
+// payload it was built with, and keeps it across evict-shuffles.
+TEST_P(BackendConformance, FillerPayloadsLoadBack) {
+  rig fx;
+  const std::function<void(block_id, std::span<std::uint8_t>)> filler =
+      [](block_id id, std::span<std::uint8_t> payload) {
+        const std::vector<std::uint8_t> data = tagged(id, 7);
+        std::copy(data.begin(), data.end(), payload.begin());
+      };
+  const std::unique_ptr<oram_backend> backend =
+      make_backend(GetParam(), fx.config(), fx.device, fx.cpu, fx.rng,
+                   /*trace=*/nullptr, &filler, &fx.map_device);
+  std::vector<oram::evicted_block> sheltered;
+  for (block_id next = 0; next < kBlocks;) {
+    std::vector<oram::evicted_block> evicted = std::move(sheltered);
+    sheltered.clear();
+    for (std::uint64_t i = 0; i < fx.config().period_loads(); ++i, ++next) {
+      ASSERT_TRUE(backend->in_storage(next)) << "block " << next;
+      oram_backend::load_result load = backend->load_block(next);
+      ASSERT_EQ(load.payload, tagged(next, 7)) << "block " << next;
+      evicted.push_back(oram::evicted_block{next, std::move(load.payload)});
+    }
+    (void)backend->shuffle_period(std::move(evicted), next, sheltered);
+  }
+  EXPECT_NO_THROW(backend->check_consistency());
+}
+
+// Fixed seeds fix the run: two backends built and driven alike make the
+// same loads at the same device cost and end in the same state — the
+// determinism every bit-for-bit comparison in this suite rests on.
+TEST_P(BackendConformance, SameSeedReplaysIdentically) {
+  const auto run = [](rig& fx) {
+    const std::unique_ptr<oram_backend> backend = fx.make(GetParam());
+    util::pcg64 driver(test::seed(71));
+    std::vector<std::uint64_t> log;
+    std::vector<oram::evicted_block> sheltered;
+    for (std::uint64_t period = 0; period < 3; ++period) {
+      std::vector<oram::evicted_block> evicted = std::move(sheltered);
+      sheltered.clear();
+      for (std::uint64_t i = 0; i < fx.config().period_loads(); ++i) {
+        const block_id target = util::uniform_below(driver, kBlocks);
+        const oram_backend::load_result load =
+            backend->in_storage(target) ? backend->load_block(target)
+                                        : backend->dummy_load();
+        log.insert(log.end(), {load.id, static_cast<std::uint64_t>(
+                                            load.cost.io)});
+        if (load.id != oram::dummy_block_id) {
+          evicted.push_back(
+              oram::evicted_block{load.id, tagged(load.id, period)});
+        }
+      }
+      const shuffle_cost cost =
+          backend->shuffle_period(std::move(evicted), period, sheltered);
+      log.insert(log.end(), {static_cast<std::uint64_t>(cost.total()),
+                             sheltered.size()});
+    }
+    const sim::io_stats& io = fx.device.stats();
+    log.insert(log.end(),
+               {io.read_ops, io.write_ops, io.bytes_read, io.bytes_written,
+                backend->stats().prefetched_blocks,
+                backend->stats().partitions_shuffled,
+                backend->physical_bytes(), backend->control_memory_bytes()});
+    return log;
+  };
+  rig first;
+  rig second;
+  EXPECT_EQ(run(first), run(second));
+}
+
 // ------------------------------------------------- path-backend detail
 
 // Deep recursion forced via the config knobs: the recursive map chain
@@ -453,6 +522,187 @@ TEST(PathBackendDetail, FacadeClientWithForcedRecursionRoundTrips) {
     }
   }
   EXPECT_NO_THROW(oram.backend().check_consistency());
+}
+
+// ------------------------------------- sqrt- and partition-backend detail
+
+class SlotBackendDetail : public ::testing::TestWithParam<backend_kind> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    SlotBackends, SlotBackendDetail,
+    ::testing::Values(backend_kind::sqrt, backend_kind::partition),
+    [](const ::testing::TestParamInfo<backend_kind>& info) {
+      return std::string(backend_name(info.param));
+    });
+
+// A real miss and a dummy load each read exactly one storage slot, so
+// the bus cannot tell them apart by size.
+TEST_P(SlotBackendDetail, EveryLoadReadsExactlyOneSlot) {
+  rig fx;
+  oram::access_trace trace;
+  const std::unique_ptr<oram_backend> backend =
+      make_backend(GetParam(), fx.config(), fx.device, fx.cpu, fx.rng,
+                   &trace, /*filler=*/nullptr);
+  util::pcg64 driver(test::seed(73));
+  for (std::uint64_t i = 0; i < fx.config().period_loads(); ++i) {
+    trace.clear();
+    const block_id target = util::uniform_below(driver, kBlocks);
+    if (util::bernoulli(driver, 0.5) && backend->in_storage(target)) {
+      (void)backend->load_block(target);
+    } else {
+      (void)backend->dummy_load();
+    }
+    ASSERT_EQ(trace.size(), 1u) << "load " << i;
+    EXPECT_EQ(trace.events()[0].kind, oram::event_kind::storage_read_slot);
+  }
+  EXPECT_EQ(fx.device.stats().read_ops, fx.config().period_loads());
+}
+
+// Dummies are sized to one access period (n/2 loads) with the classic
+// ceil(sqrt(N)) as a floor.
+TEST(SqrtBackendDetail, DummyBudgetCoversOneAccessPeriod) {
+  rig fx;
+  horam_config config = fx.config();
+  config.block_count = 100;
+  config.memory_blocks = 16;
+  const oram::sqrt_backend floor(config, fx.device, fx.cpu, fx.rng, nullptr,
+                                 nullptr);
+  EXPECT_EQ(floor.dummy_count(), 10u);
+  EXPECT_EQ(floor.total_slots(), 110u);
+  config.memory_blocks = 64;
+  sim::block_device other(sim::hdd_paper());
+  const oram::sqrt_backend wide(config, other, fx.cpu, fx.rng, nullptr,
+                                nullptr);
+  EXPECT_EQ(wide.dummy_count(), 32u);
+}
+
+// Driven past its budget, the backend counts each surplus dummy load;
+// the next shuffle refills the budget.
+TEST(SqrtBackendDetail, DummiesPastTheBudgetCountUntilTheNextShuffle) {
+  rig fx;
+  oram::sqrt_backend backend(fx.config(), fx.device, fx.cpu, fx.rng,
+                             nullptr, nullptr);
+  std::vector<oram::evicted_block> evicted;
+  for (std::uint64_t i = 0; i <= backend.dummy_count(); ++i) {
+    oram_backend::load_result load = backend.dummy_load();
+    if (load.id != oram::dummy_block_id) {
+      evicted.push_back(oram::evicted_block{load.id, std::move(load.payload)});
+    }
+  }
+  EXPECT_EQ(backend.stats().exhausted_dummy_loads, 1u);
+  std::vector<oram::evicted_block> overflow;
+  (void)backend.shuffle_period(std::move(evicted), 0, overflow);
+  for (std::uint64_t i = 0; i < backend.dummy_count(); ++i) {
+    (void)backend.dummy_load();
+  }
+  EXPECT_EQ(backend.stats().exhausted_dummy_loads, 1u);
+  EXPECT_NO_THROW(backend.check_consistency());
+}
+
+// Every shuffle period re-permutes the whole array with the Melbourne
+// shuffle: several passes over all N + D slots, however few blocks the
+// period evicted.
+TEST(SqrtBackendDetail, EveryShuffleRepermutesTheWholeArray) {
+  rig fx;
+  horam_config config = fx.config();
+  config.logical_block_bytes = 1024;
+  oram::access_trace trace;
+  oram::sqrt_backend backend(config, fx.device, fx.cpu, fx.rng, &trace,
+                             nullptr);
+  const std::uint64_t array_bytes = backend.total_slots() * 1024;
+  for (std::uint64_t period = 0; period < 3; ++period) {
+    oram_backend::load_result load = backend.load_block(period);
+    fx.device.reset_stats();
+    trace.clear();
+    std::vector<oram::evicted_block> overflow;
+    (void)backend.shuffle_period(
+        {oram::evicted_block{period, std::move(load.payload)}}, period,
+        overflow);
+    EXPECT_TRUE(overflow.empty());
+    EXPECT_EQ(backend.stats().partitions_shuffled, period + 1);
+    const std::uint64_t passes = 1 + shuffle::melbourne_config{}.message_quota;
+    EXPECT_GE(fx.device.stats().bytes_read, passes * array_bytes);
+    EXPECT_GE(fx.device.stats().bytes_written, passes * array_bytes);
+    EXPECT_EQ(trace.events().back().kind,
+              oram::event_kind::storage_write_sweep);
+    EXPECT_EQ(trace.events().back().b, backend.total_slots());
+  }
+  EXPECT_NO_THROW(backend.check_consistency());
+}
+
+// ~sqrt(N) partitions of ~sqrt(N) slots each, with at least 1.5x slack
+// for the random per-block deal and no append segments.
+TEST(PartitionBackendDetail, GeometryIsSqrtish) {
+  rig fx;
+  horam_config config = fx.config();
+  config.block_count = 100;
+  const oram::partition_backend backend(config, fx.device, fx.cpu, fx.rng,
+                                        nullptr, nullptr);
+  EXPECT_EQ(backend.geometry().partition_count, 10u);
+  EXPECT_GE(backend.geometry().main_capacity, 15u);
+  EXPECT_EQ(backend.geometry().append_capacity, 0u);
+  EXPECT_EQ(backend.unaccessed_slot_count(),
+            backend.geometry().total_slots());
+}
+
+// Each load consumes one unread slot; only a rewrite of its partition
+// makes it fresh again.
+TEST(PartitionBackendDetail, EachLoadConsumesOneUnreadSlot) {
+  rig fx;
+  oram::access_trace trace;
+  oram::partition_backend backend(fx.config(), fx.device, fx.cpu, fx.rng,
+                                  &trace, nullptr);
+  const std::uint64_t fresh = backend.unaccessed_slot_count();
+  std::vector<oram::evicted_block> evicted;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    oram_backend::load_result load =
+        i % 2 == 0 ? backend.load_block(i) : backend.dummy_load();
+    EXPECT_EQ(backend.unaccessed_slot_count(), fresh - i - 1);
+    if (load.id != oram::dummy_block_id) {
+      evicted.push_back(oram::evicted_block{load.id, std::move(load.payload)});
+    }
+  }
+  const std::uint64_t receivers = evicted.size();
+  std::vector<oram::evicted_block> overflow;
+  (void)backend.shuffle_period(std::move(evicted), 0, overflow);
+  EXPECT_TRUE(overflow.empty());
+  EXPECT_GE(backend.stats().partitions_shuffled, 1u);
+  EXPECT_LE(backend.stats().partitions_shuffled, receivers);
+  // Consumed slots stay consumed unless a write sweep covered them.
+  std::set<std::uint64_t> consumed;
+  for (const oram::trace_event& event : trace.events()) {
+    if (event.kind == oram::event_kind::storage_read_slot) {
+      consumed.insert(event.a);
+    } else if (event.kind == oram::event_kind::storage_write_sweep) {
+      consumed.erase(consumed.lower_bound(event.a),
+                     consumed.lower_bound(event.a + event.b));
+    }
+  }
+  EXPECT_EQ(backend.unaccessed_slot_count(), fresh - consumed.size());
+  EXPECT_NO_THROW(backend.check_consistency());
+}
+
+// Eviction rewrites only the partition that receives the block, as one
+// sequential read and one sequential write of that partition.
+TEST(PartitionBackendDetail, ShuffleStreamsOnlyTheReceivingPartition) {
+  rig fx;
+  horam_config config = fx.config();
+  config.logical_block_bytes = 1024;
+  oram::partition_backend backend(config, fx.device, fx.cpu, fx.rng,
+                                  nullptr, nullptr);
+  oram_backend::load_result load = backend.load_block(5);
+  fx.device.reset_stats();
+  std::vector<oram::evicted_block> overflow;
+  (void)backend.shuffle_period(
+      {oram::evicted_block{5, std::move(load.payload)}}, 0, overflow);
+  EXPECT_EQ(backend.stats().partitions_shuffled, 1u);
+  const std::uint64_t partition_bytes =
+      backend.geometry().main_capacity * 1024;
+  EXPECT_EQ(fx.device.stats().read_ops, 1u);
+  EXPECT_EQ(fx.device.stats().write_ops, 1u);
+  EXPECT_EQ(fx.device.stats().bytes_read, partition_bytes);
+  EXPECT_EQ(fx.device.stats().bytes_written, partition_bytes);
+  EXPECT_TRUE(backend.in_storage(5));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Parameterised property sweeps across the dimensions the rest of the
 // suite holds fixed: Path ORAM bucket size Z and payload size, the sqrt
-// backend over block count x memory size, Melbourne quotas, device
-// profile properties, and end-to-end H-ORAM bucket-size variation.
+// and partition backends over block count x memory size, Melbourne
+// quotas, device profile properties, and end-to-end H-ORAM bucket-size
+// variation.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -73,20 +74,14 @@ TEST_P(PathOramZSweep, DifferentialCorrectnessAndStashBound) {
   EXPECT_LT(oram.stash_ref().peak_size(), bound) << "Z=" << z;
 }
 
-// ------------------------------------------ sqrt backend geometry sweep
+// ------------------------- sqrt and partition backend geometry sweeps
 
-class SqrtGeometry
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t,
-                                                 std::uint64_t>> {};
-
-INSTANTIATE_TEST_SUITE_P(Geometries, SqrtGeometry,
-                         ::testing::Combine(::testing::Values(64u, 100u,
-                                                              256u),
-                                            ::testing::Values(8u, 16u,
-                                                              32u)));
-
-TEST_P(SqrtGeometry, CorrectAcrossBlockAndMemorySizes) {
-  const auto [n, memory_blocks] = GetParam();
+/// Drives `kind` behind the controller with a shadow map over n blocks,
+/// then checks the slot-ORAM invariant on the trace: no storage slot is
+/// read twice before a write sweep rewrites it (a repeat would
+/// correlate with a cache hit).
+void check_slot_backend_geometry(backend_kind kind, std::uint64_t n,
+                                 std::uint64_t memory_blocks) {
   sim::block_device disk(sim::hdd_paper());
   sim::block_device memory(sim::dram_ddr4());
   const sim::cpu_model cpu(sim::cpu_aesni());
@@ -99,8 +94,8 @@ TEST_P(SqrtGeometry, CorrectAcrossBlockAndMemorySizes) {
   config.payload_bytes = 16;
   config.seal = false;
   controller ctrl(config,
-                  make_backend(backend_kind::sqrt, config, disk, cpu, rng,
-                               &trace, nullptr),
+                  make_backend(kind, config, disk, cpu, rng, &trace,
+                               nullptr),
                   memory, cpu, rng, &trace);
 
   std::map<block_id, std::uint8_t> shadow;
@@ -121,17 +116,46 @@ TEST_P(SqrtGeometry, CorrectAcrossBlockAndMemorySizes) {
   EXPECT_EQ(ctrl.backend().stats().exhausted_dummy_loads, 0u);
   ctrl.backend().check_consistency();
 
-  // The square-root invariant: between two reshuffles no storage slot
-  // is read twice (a repeat would correlate with a cache hit).
   std::set<std::uint64_t> slots;
   for (const oram::trace_event& event : trace.events()) {
-    if (event.kind == oram::event_kind::shuffle_begin) {
-      slots.clear();
+    if (event.kind == oram::event_kind::storage_write_sweep) {
+      slots.erase(slots.lower_bound(event.a),
+                  slots.lower_bound(event.a + event.b));
     } else if (event.kind == oram::event_kind::storage_read_slot) {
       ASSERT_TRUE(slots.insert(event.a).second)
-          << "slot " << event.a << " read twice in one period";
+          << "slot " << event.a << " read twice between rewrites";
     }
   }
+}
+
+class SqrtGeometry
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t,
+                                                 std::uint64_t>> {};
+
+INSTANTIATE_TEST_SUITE_P(Geometries, SqrtGeometry,
+                         ::testing::Combine(::testing::Values(64u, 100u,
+                                                              256u),
+                                            ::testing::Values(8u, 16u,
+                                                              32u)));
+
+TEST_P(SqrtGeometry, CorrectAcrossBlockAndMemorySizes) {
+  const auto [n, memory_blocks] = GetParam();
+  check_slot_backend_geometry(backend_kind::sqrt, n, memory_blocks);
+}
+
+class PartitionGeometry
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t,
+                                                 std::uint64_t>> {};
+
+INSTANTIATE_TEST_SUITE_P(Geometries, PartitionGeometry,
+                         ::testing::Combine(::testing::Values(64u, 100u,
+                                                              256u),
+                                            ::testing::Values(8u, 16u,
+                                                              32u)));
+
+TEST_P(PartitionGeometry, CorrectAcrossBlockAndMemorySizes) {
+  const auto [n, memory_blocks] = GetParam();
+  check_slot_backend_geometry(backend_kind::partition, n, memory_blocks);
 }
 
 // -------------------------------------------------- melbourne quotas

@@ -1,7 +1,10 @@
-// Tests for src/shuffle: the permutation check and the Melbourne
-// shuffle (every record moved, I/O volume, quota exhaustion), swept over
-// sizes including non-powers of two and degenerate cases.
+// Tests for src/shuffle: the permutation check, the in-memory shuffle
+// (util::random_permutation) and the Melbourne shuffle (every record
+// moved, permutation-independent I/O, I/O volume, quota exhaustion),
+// swept over sizes including non-powers of two and degenerate cases.
 #include <gtest/gtest.h>
+
+#include <numeric>
 
 #include "shuffle/melbourne.h"
 #include "shuffle/shuffle.h"
@@ -46,6 +49,31 @@ TEST(Permutation, IsPermutationDetectsDefects) {
   EXPECT_FALSE(is_permutation({0, 0}));
   EXPECT_FALSE(is_permutation({0, 2}));
   EXPECT_FALSE(is_permutation({3, 0, 1}));
+}
+
+// ------------------------------------------------- in-memory shuffle
+
+// util::random_permutation is what H-ORAM's partition rewrite and the
+// path evict run: a permutation of [0, n) at every size, fixed by the
+// generator state.
+class ShuffleSizes : public ::testing::TestWithParam<std::uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ShuffleSizes,
+                         ::testing::Values(1, 2, 3, 4, 7, 8, 15, 16, 33,
+                                           64, 100, 127, 128, 255, 500));
+
+TEST_P(ShuffleSizes, RandomPermutationIsPermutation) {
+  const std::uint64_t n = GetParam();
+  util::pcg64 rng(n);
+  util::pcg64 replay(n);
+  const permutation pi = util::random_permutation(rng, n);
+  ASSERT_TRUE(is_permutation(pi));
+  EXPECT_EQ(util::random_permutation(replay, n), pi);
+  if (n >= 8) {
+    permutation identity(n);
+    std::iota(identity.begin(), identity.end(), std::uint64_t{0});
+    EXPECT_NE(pi, identity);
+  }
 }
 
 // --------------------------------------------------- external shuffles
@@ -94,6 +122,30 @@ TEST_P(ExternalShuffleSizes, MelbourneMovesEveryRecord) {
                   0),
               i);
   }
+}
+
+// The device sees the same operations whichever permutation is drawn:
+// every message is padded to the quota, so sizes never depend on where
+// records go.
+TEST_P(ExternalShuffleSizes, MelbourneIoIsIndependentOfThePermutation) {
+  const std::uint64_t n = GetParam();
+  const melbourne_config config{};
+  std::vector<sim::io_stats> seen;
+  for (const std::uint64_t seed : {n + 5, n + 6}) {
+    external_fixture fx(n, melbourne_scratch_records(n, config));
+    util::pcg64 rng(seed);
+    const external_shuffle_result result =
+        melbourne_shuffle(*fx.input, *fx.scratch, *fx.output, rng, config);
+    ASSERT_EQ(result.stats.retries, 0u);
+    seen.push_back(fx.device.stats());
+  }
+  EXPECT_EQ(seen[0].read_ops, seen[1].read_ops);
+  EXPECT_EQ(seen[0].write_ops, seen[1].write_ops);
+  EXPECT_EQ(seen[0].sequential_read_ops, seen[1].sequential_read_ops);
+  EXPECT_EQ(seen[0].sequential_write_ops, seen[1].sequential_write_ops);
+  EXPECT_EQ(seen[0].bytes_read, seen[1].bytes_read);
+  EXPECT_EQ(seen[0].bytes_written, seen[1].bytes_written);
+  EXPECT_EQ(seen[0].busy_time, seen[1].busy_time);
 }
 
 TEST(Melbourne, IoVolumeMatchesQuotaModel) {

@@ -204,5 +204,84 @@ TEST(TraceIo, OmittedUserDefaultsToZero) {
   EXPECT_EQ(stream[1].user, 0u);
 }
 
+// ------------------------------------------------ one line per case
+
+struct line_case {
+  const char* name;
+  const char* line;
+  /// Malformed lines: a substring of the error. Valid lines: null.
+  const char* error;
+  op_kind op = op_kind::read;
+  oram::block_id id = 0;
+  std::uint32_t user = 0;
+};
+
+const line_case kLineCases[] = {
+    {"NegativeId", "R,-1", "malformed id field '-1'"},
+    {"PlusSignedId", "W,+3,0", "malformed id field '+3'"},
+    {"MinusZeroId", "R,-0", "malformed id field '-0'"},
+    {"NegativeUser", "W,3,-2", "malformed user field '-2'"},
+    {"PlusSignedUser", "R,3,+1", "malformed user field '+1'"},
+    {"IdPastSixtyFourBits", "R,18446744073709551616", "malformed id"},
+    {"UserPastThirtyTwoBits", "R,1,4294967296", "malformed user"},
+    {"ZeroPaddedUserPastRange", "R,1,004294967296", "malformed user"},
+    {"LeadingSpaceInId", "R, 7", "malformed id field ' 7'"},
+    {"TrailingSpaceInId", "R,7 ,0", "malformed id field '7 '"},
+    {"TabInUser", "R,7,\t1", "malformed user"},
+    {"TrailingSpaceInUser", "R,7,1 ", "malformed user field '1 '"},
+    {"HexId", "R,0x10", "malformed id field '0x10'"},
+    {"ExponentId", "R,1e3", "malformed id field '1e3'"},
+    {"FractionalId", "R,1.0", "malformed id field '1.0'"},
+    {"EmptyId", "R,,3", "malformed id field ''"},
+    {"AlphaUser", "R,2,u7", "malformed user field 'u7'"},
+    {"InlineComment", "R,5 # hot", "malformed id field '5 # hot'"},
+    {"FourFields", "R,1,2,junk", "expected 'op,id[,user]'"},
+    {"TrailingCommaAfterUser", "R,1,2,", "expected 'op,id[,user]'"},
+    {"OpAlone", "W", "expected 'op,id[,user]'"},
+    {"SemicolonSeparated", "R;5", "expected 'op,id[,user]'"},
+    {"UnknownOp", "X,2,0", "op must be R or W"},
+    {"LowerCaseOp", "r,2", "op must be R or W"},
+    {"EmptyOp", ",5", "op must be R or W"},
+    {"WordOp", "READ,5", "op must be R or W"},
+    {"LeadingSpaceInOp", " R,5", "op must be R or W"},
+    {"Read", "R,0", nullptr, op_kind::read, 0, 0},
+    {"WriteWithUser", "W,5,3", nullptr, op_kind::write, 5, 3},
+    {"AllZerosId", "R,000", nullptr, op_kind::read, 0, 0},
+    {"LeadingZerosAreDecimal", "R,007,010", nullptr, op_kind::read, 7, 10},
+    {"WidestValues", "W,18446744073709551615,4294967295", nullptr,
+     op_kind::write, 18446744073709551615u, 4294967295u},
+    {"EmptyUser", "W,42,", nullptr, op_kind::write, 42, 0},
+    {"CarriageReturn", "R,9,3\r", nullptr, op_kind::read, 9, 3},
+};
+
+class TraceLine : public ::testing::TestWithParam<line_case> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, TraceLine, ::testing::ValuesIn(kLineCases),
+    [](const ::testing::TestParamInfo<line_case>& info) {
+      return std::string(info.param.name);
+    });
+
+// Each line sits on file line 3, after a comment and a valid request: a
+// malformed one is rejected naming that line, a valid one loads as the
+// request it spells.
+TEST_P(TraceLine, LoadsOrNamesTheFileLine) {
+  const line_case& c = GetParam();
+  const std::string text = std::string("# header\nR,0\n") + c.line + "\n";
+  if (c.error != nullptr) {
+    const std::string message = message_of(text);
+    EXPECT_NE(message.find("trace line 3:"), std::string::npos) << message;
+    EXPECT_NE(message.find(c.error), std::string::npos) << message;
+    return;
+  }
+  const std::vector<request> stream = load(text);
+  ASSERT_EQ(stream.size(), 2u);
+  EXPECT_EQ(stream[1].op, c.op);
+  EXPECT_EQ(stream[1].id, c.id);
+  EXPECT_EQ(stream[1].user, c.user);
+  EXPECT_EQ(stream[1].write_data.size(),
+            c.op == op_kind::write ? kPayload : 0u);
+}
+
 }  // namespace
 }  // namespace horam::workload
