@@ -15,6 +15,9 @@ namespace {
 constexpr std::uint32_t no_pool_position =
     std::numeric_limits<std::uint32_t>::max();
 
+/// Records per decode_many() batch of a partition rewrite.
+constexpr std::uint64_t shuffle_batch_records = 64;
+
 }  // namespace
 
 storage_layer::storage_layer(
@@ -73,6 +76,8 @@ storage_layer::storage_layer(
   pending_segments_.assign(partitions, 0);
   record_scratch_.resize(codec_.record_bytes());
   payload_scratch_.resize(config_.payload_bytes);
+  shuffle_ids_.resize(shuffle_batch_records);
+  shuffle_payloads_.resize(shuffle_batch_records * config_.payload_bytes);
 
   // Initial permuted layout: a random deal of ids across partitions,
   // random slot order inside each.
@@ -367,11 +372,9 @@ shuffle_cost storage_layer::shuffle_partition_step(shuffle_plan& plan,
       return cost;
     }
     const std::uint64_t base = store_->appended_count(p);
-    std::vector<std::uint8_t> segment(hot.size() * record_bytes);
+    shuffle_refs_.clear();
     for (std::uint64_t k = 0; k < hot.size(); ++k) {
-      codec_.encode(hot[k].id, hot[k].payload,
-                    std::span<std::uint8_t>(
-                        segment.data() + k * record_bytes, record_bytes));
+      shuffle_refs_.push_back({hot[k].id, hot[k].payload});
       const std::uint32_t append_index =
           static_cast<std::uint32_t>(base + k);
       locations_[hot[k].id] =
@@ -385,6 +388,9 @@ shuffle_cost storage_layer::shuffle_partition_step(shuffle_plan& plan,
       }
       pool_insert(p, code);
     }
+    std::vector<std::uint8_t>& segment = shuffle_out_scratch_;
+    segment.resize(hot.size() * record_bytes);
+    codec_.encode_many(shuffle_refs_, segment);
     cost.io_write += store_->append(p, segment);
     cost.cpu += cpu_.crypto_time(hot.size(), record_bytes);
     ++pending_segments_[p];
@@ -406,63 +412,83 @@ shuffle_cost storage_layer::shuffle_partition_step(shuffle_plan& plan,
         p * store_->geometry().slots_per_partition(), records_read);
   cost.cpu += cpu_.crypto_time(records_read, record_bytes);
 
-  struct staged {
-    oram::block_id id;
-    std::vector<std::uint8_t> payload;
-  };
-  std::vector<staged> blocks;
-  blocks.reserve(records_read + hot.size());
-  for (std::uint64_t code = 0; code < records_read; ++code) {
-    const oram::block_id id = contents_[p][code];
-    if (id == oram::dummy_block_id) {
-      continue;
+  // Every record is authenticated, a batch at a time; each live payload
+  // is then copied back over its own record, so the image itself holds
+  // the plaintext payloads from here on.
+  const std::size_t payload_bytes = config_.payload_bytes;
+  std::vector<std::uint32_t>& sources = shuffle_sources_;
+  sources.clear();
+  for (std::uint64_t first = 0; first < records_read;
+       first += shuffle_batch_records) {
+    const std::uint64_t n =
+        std::min<std::uint64_t>(shuffle_batch_records, records_read - first);
+    codec_.decode_many(
+        std::span<const std::uint8_t>(image.data() + first * record_bytes,
+                                      n * record_bytes),
+        std::span(shuffle_ids_).first(n),
+        std::span(shuffle_payloads_).first(n * payload_bytes));
+    for (std::uint64_t j = 0; j < n; ++j) {
+      const std::uint64_t code = first + j;
+      const oram::block_id id = contents_[p][code];
+      if (id == oram::dummy_block_id) {
+        continue;
+      }
+      invariant(shuffle_ids_[j] == id, "partition contents out of sync");
+      std::memcpy(image.data() + code * record_bytes,
+                  shuffle_payloads_.data() + j * payload_bytes,
+                  payload_bytes);
+      sources.push_back(static_cast<std::uint32_t>(code));
     }
-    const oram::block_id decoded = codec_.decode(
-        std::span<const std::uint8_t>(image.data() + code * record_bytes,
-                                      record_bytes),
-        payload_scratch_);
-    invariant(decoded == id, "partition contents out of sync");
-    blocks.push_back(staged{id, std::vector<std::uint8_t>(
-                                    payload_scratch_.begin(),
-                                    payload_scratch_.end())});
   }
-  for (oram::evicted_block& block : hot) {
-    blocks.push_back(staged{block.id, std::move(block.payload)});
+  // Sources index the image's slots, then the hot share after them.
+  for (std::uint64_t k = 0; k < hot.size(); ++k) {
+    sources.push_back(static_cast<std::uint32_t>(records_read + k));
   }
+  const auto ref_of = [&](std::uint32_t source) {
+    return source < records_read
+               ? oram::block_codec::block_ref{
+                     contents_[p][source],
+                     std::span(image).subspan(source * record_bytes,
+                                              payload_bytes)}
+               : oram::block_codec::block_ref{
+                     hot[source - records_read].id,
+                     hot[source - records_read].payload};
+  };
   // With partial shuffling, survivors + pending appends + new hot data
   // can exceed the main region; the excess waits in the control-layer
   // shelter until the next period (bounded by the capacity slack).
-  while (blocks.size() > main_capacity) {
-    staged& excess = blocks.back();
+  while (sources.size() > main_capacity) {
+    const oram::block_codec::block_ref excess = ref_of(sources.back());
     locations_[excess.id] = location{residence::memory, 0, 0};
-    plan.overflow.push_back(
-        oram::evicted_block{excess.id, std::move(excess.payload)});
-    blocks.pop_back();
+    plan.overflow.push_back(oram::evicted_block{
+        excess.id, {excess.payload.begin(), excess.payload.end()}});
+    sources.pop_back();
     ++stats_.overflow_blocks;
   }
 
   // Fresh in-partition permutation (in-memory shuffle; the paper uses
   // CacheShuffle here — with the partition resident in trusted memory
-  // it reduces to a uniform in-memory shuffle).
+  // it reduces to a uniform in-memory shuffle): source k lands in slot
+  // slot_order[k]. Each slot is then sealed once, in slot order.
   const std::vector<std::uint64_t> slot_order =
       util::random_permutation(rng_, main_capacity);
-  std::fill(contents_[p].begin(), contents_[p].end(),
-            oram::dummy_block_id);
+  shuffle_refs_.assign(main_capacity, {});
+  for (std::uint64_t k = 0; k < sources.size(); ++k) {
+    shuffle_refs_[slot_order[k]] = ref_of(sources[k]);
+  }
   std::vector<std::uint8_t>& out = shuffle_out_scratch_;
   out.resize(main_capacity * record_bytes);
-  for (std::uint64_t i = 0; i < main_capacity; ++i) {
-    codec_.encode_dummy(std::span<std::uint8_t>(
-        out.data() + i * record_bytes, record_bytes));
-  }
-  for (std::uint64_t k = 0; k < blocks.size(); ++k) {
-    const std::uint32_t index =
-        static_cast<std::uint32_t>(slot_order[k]);
-    codec_.encode(blocks[k].id, blocks[k].payload,
-                  std::span<std::uint8_t>(
-                      out.data() + index * record_bytes, record_bytes));
-    contents_[p][index] = blocks[k].id;
-    locations_[blocks[k].id] = location{
-        residence::main_slot, static_cast<std::uint32_t>(p), index};
+  codec_.encode_many(shuffle_refs_, out);
+  std::fill(contents_[p].begin(), contents_[p].end(),
+            oram::dummy_block_id);
+  for (std::uint32_t index = 0; index < main_capacity; ++index) {
+    const oram::block_id id = shuffle_refs_[index].id;
+    if (id == oram::dummy_block_id) {
+      continue;
+    }
+    contents_[p][index] = id;
+    locations_[id] =
+        location{residence::main_slot, static_cast<std::uint32_t>(p), index};
   }
   cost.cpu += cpu_.crypto_time(main_capacity, record_bytes);
   cost.cpu += cpu_.word_ops_time(main_capacity);
@@ -622,6 +648,16 @@ std::uint64_t storage_layer::pending_segments(
     std::uint64_t partition) const {
   expects(partition < pending_segments_.size(), "partition out of range");
   return pending_segments_[partition];
+}
+
+std::optional<std::uint64_t> storage_layer::slot_of(oram::block_id id) const {
+  expects(id < config_.block_count, "block id out of range");
+  const location& loc = locations_[id];
+  if (loc.where == residence::memory) {
+    return std::nullopt;
+  }
+  return loc.partition * store_->geometry().slots_per_partition() +
+         code_of(loc);
 }
 
 std::uint64_t storage_layer::unaccessed_slot_count() const {

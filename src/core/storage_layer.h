@@ -113,6 +113,13 @@ class storage_layer final : public oram_backend {
   /// Permutation list + unaccessed-slot pools (Figure 4-1 report).
   [[nodiscard]] std::uint64_t control_memory_bytes() const override;
   [[nodiscard]] std::uint64_t pending_segments(std::uint64_t partition) const;
+  /// Global slot (partition · slots_per_partition + local slot code)
+  /// holding the live copy of `id`, or nullopt while it is cached.
+  [[nodiscard]] std::optional<std::uint64_t> slot_of(oram::block_id id) const;
+  /// Read-only view of the partitioned store (tests and audits).
+  [[nodiscard]] const storage::partitioned_store& store() const noexcept {
+    return *store_;
+  }
   [[nodiscard]] std::uint64_t unaccessed_slot_count() const;
 
   /// Deep consistency audit of the control-layer state: every block's
@@ -186,11 +193,16 @@ class storage_layer final : public oram_backend {
   storage_layer_stats stats_;
   std::vector<std::uint8_t> record_scratch_;
   std::vector<std::uint8_t> payload_scratch_;
-  /// Partition-image scratch reused across shuffle_partition_step
-  /// calls (MB-scale at bench geometry; one allocation per layer, not
-  /// per partition or per slice).
+  /// Scratch reused across shuffle_partition_step calls, so a rewrite
+  /// allocates nothing: the read image (its live records decoded in
+  /// place), the sealed output image or append segment, one decode
+  /// batch, the merged blocks' sources and one codec ref per slot.
   std::vector<std::uint8_t> shuffle_image_scratch_;
   std::vector<std::uint8_t> shuffle_out_scratch_;
+  std::vector<oram::block_id> shuffle_ids_;
+  std::vector<std::uint8_t> shuffle_payloads_;
+  std::vector<std::uint32_t> shuffle_sources_;
+  std::vector<oram::block_codec::block_ref> shuffle_refs_;
 };
 
 }  // namespace horam

@@ -56,23 +56,24 @@ std::size_t mac_budget(std::size_t bytes, std::size_t groups) {
   return (bytes / 8 + calls - 1) / calls;
 }
 
+/// keystream_blocks() filter that keeps every record.
+constexpr auto every_record = [](std::size_t) { return true; };
+
 // seal_many() works through a batch this many records at a time, so a
 // slice's ciphertext is still in cache when its MACs are computed.
 constexpr std::size_t seal_slice_records = 64;
 
-/// The keystream blocks [0, blocks) of each of `count` sealed records
-/// laid `stride` bytes apart, L (record, block) pairs per kernel group:
-/// calls apply(r, b, keystream) with the 64 keystream bytes of block b
-/// of record r, under the nonce the record starts with. Pairs run record
-/// by record, so a 17-block record costs 17 blocks of a group, not a
-/// group and a half.
-template <int L, class Apply>
-[[gnu::always_inline]] inline void keystream_blocks(const chacha_key& key,
-                                                    const std::uint8_t* records,
-                                                    std::size_t count,
-                                                    std::size_t stride,
-                                                    std::size_t blocks,
-                                                    const Apply& apply) {
+/// The keystream blocks [first_block, end_block) of each of `count`
+/// sealed records laid `stride` bytes apart for which wanted(r) holds, L
+/// (record, block) pairs per kernel group: calls apply(r, b, keystream)
+/// with the 64 keystream bytes of block b of record r, under the nonce
+/// the record starts with. Pairs run record by record, so a 17-block
+/// record costs 17 blocks of a group, not a group and a half.
+template <int L, class Wanted, class Apply>
+[[gnu::always_inline]] inline void keystream_blocks(
+    const chacha_key& key, const std::uint8_t* records, std::size_t count,
+    std::size_t stride, std::size_t first_block, std::size_t end_block,
+    const Wanted& wanted, const Apply& apply) {
   using kernel = chacha_lanes<L>;
   typename kernel::vec state[16] = {};
   typename kernel::vec keystream[16];
@@ -95,9 +96,12 @@ template <int L, class Apply>
     used = 0;
   };
   for (std::size_t r = 0; r < count; ++r) {
+    if (!wanted(r)) {
+      continue;
+    }
     std::uint32_t nonce[3];
     std::memcpy(nonce, records + r * stride, sizeof nonce);
-    for (std::size_t b = 0; b < blocks; ++b) {
+    for (std::size_t b = first_block; b < end_block; ++b) {
       words[0][used] = static_cast<std::uint32_t>(first_payload_block + b);
       words[1][used] = nonce[0];
       words[2][used] = nonce[1];
@@ -210,7 +214,8 @@ void block_sealer::seal_many(std::span<std::uint8_t> records,
         std::memset(record + sizeof nonce, 0, seal_nonce_bytes - sizeof nonce);
       }
       keystream_blocks<L>(
-          keys_.encryption_key, slice, n, record_bytes, blocks,
+          keys_.encryption_key, slice, n, record_bytes, 0, blocks,
+          every_record,
           [&](std::size_t r, std::size_t b, const std::uint8_t* ks)
               __attribute__((always_inline)) {
                 std::uint8_t* text =
@@ -232,7 +237,9 @@ void block_sealer::seal_many(std::span<std::uint8_t> records,
 void block_sealer::open_many(std::span<const std::uint8_t> sealed,
                              std::size_t record_bytes,
                              std::span<std::uint8_t> heads,
-                             std::span<std::uint8_t> bodies) const {
+                             std::span<std::uint8_t> bodies,
+                             std::optional<std::uint64_t> zero_body_head)
+    const {
   if (record_bytes < seal_overhead) {
     throw crypto_error("sealed buffer shorter than seal overhead");
   }
@@ -252,9 +259,21 @@ void block_sealer::open_many(std::span<const std::uint8_t> sealed,
   expects(in_place_or_disjoint(heads, nullptr, sealed) &&
               in_place_or_disjoint(bodies, nullptr, sealed),
           "open_many: output overlaps the sealed records");
+  expects(!zero_body_head || h >= sizeof(std::uint64_t),
+          "open_many: a zero-body head needs 8-byte heads");
   const std::size_t end = bodies.empty() ? h : size;
   const std::size_t body_bytes = size - h;
   const std::size_t mac_bytes = seal_nonce_bytes + size;
+  const std::size_t end_block = (end + 63) / 64;
+  // Without a zero-body head every block is opened in the first pass;
+  // with one, the first pass stops after the heads.
+  const std::size_t head_blocks =
+      zero_body_head ? std::min(end_block, (h + 63) / 64) : end_block;
+  const auto has_body = [&](std::size_t r) {
+    std::uint64_t head = 0;
+    std::memcpy(&head, heads.data() + r * h, sizeof head);
+    return head != *zero_body_head;
+  };
 
   with_lanes([&]<int L>(lanes<L>) __attribute__((always_inline)) {
     // Every MAC first: a failure anywhere leaves every output untouched.
@@ -270,27 +289,40 @@ void block_sealer::open_many(std::span<const std::uint8_t> sealed,
     if (!authentic) {
       throw crypto_error("MAC verification failed: block tampered or corrupt");
     }
-    keystream_blocks<L>(
-        keys_.encryption_key, sealed.data(), count, record_bytes,
-        (end + 63) / 64,
-        [&](std::size_t r, std::size_t b, const std::uint8_t* ks)
-            __attribute__((always_inline)) {
-              const std::size_t pos = 64 * b;
-              const std::size_t len = std::min<std::size_t>(64, end - pos);
-              const std::uint8_t* text =
-                  sealed.data() + r * record_bytes + seal_nonce_bytes + pos;
-              const std::size_t to_head = pos < h ? std::min(len, h - pos) : 0;
-              if (to_head != 0) {
-                chacha_lanes<L>::xor_bytes(ks, text, heads.data() + r * h + pos,
-                                           to_head);
-              }
-              if (to_head != len) {
-                chacha_lanes<L>::xor_bytes(
-                    ks + to_head, text + to_head,
-                    bodies.data() + r * body_bytes + (pos + to_head - h),
-                    len - to_head);
-              }
-            });
+    const auto decrypt = [&](std::size_t r, std::size_t b,
+                             const std::uint8_t* ks)
+        __attribute__((always_inline)) {
+          const std::size_t pos = 64 * b;
+          const std::size_t len = std::min<std::size_t>(64, end - pos);
+          const std::uint8_t* text =
+              sealed.data() + r * record_bytes + seal_nonce_bytes + pos;
+          const std::size_t to_head = pos < h ? std::min(len, h - pos) : 0;
+          if (to_head != 0) {
+            chacha_lanes<L>::xor_bytes(ks, text, heads.data() + r * h + pos,
+                                       to_head);
+          }
+          if (to_head != len) {
+            chacha_lanes<L>::xor_bytes(
+                ks + to_head, text + to_head,
+                bodies.data() + r * body_bytes + (pos + to_head - h),
+                len - to_head);
+          }
+        };
+    keystream_blocks<L>(keys_.encryption_key, sealed.data(), count,
+                        record_bytes, 0, head_blocks, every_record, decrypt);
+    if (head_blocks == end_block) {
+      return;
+    }
+    // The MAC vouches that a record with the zero-body head was sealed
+    // as such, so its body is known without decrypting it.
+    for (std::size_t r = 0; r < count; ++r) {
+      if (!has_body(r)) {
+        std::memset(bodies.data() + r * body_bytes, 0, body_bytes);
+      }
+    }
+    keystream_blocks<L>(keys_.encryption_key, sealed.data(), count,
+                        record_bytes, head_blocks, end_block, has_body,
+                        decrypt);
   });
 }
 

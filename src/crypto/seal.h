@@ -28,10 +28,20 @@
 // it checks the MAC of every record in the run before it decrypts a
 // single byte, so a tampered record anywhere leaves every output as it
 // was. Both produce and accept exactly the bytes of the one-record forms.
+//
+// open_many() can also skip bodies known to be zero: given a head word
+// its caller only ever seals with an all-zero body (block_codec's dummy
+// id), it decrypts the blocks that cover each head, then the rest only
+// for records whose head differs, and zero-fills the others. The MAC is
+// still checked over every whole record first, so a tampered body is
+// caught whether or not it is decrypted. Host time then depends on how
+// many records carry that head; the modelled crypto time callers charge
+// does not.
 #ifndef HORAM_CRYPTO_SEAL_H
 #define HORAM_CRYPTO_SEAL_H
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -104,9 +114,17 @@ class block_sealer {
   /// heads only. Every record's MAC is checked before any output byte of
   /// any record is written, so on crypto_error all outputs are as they
   /// were. The outputs must not overlap `sealed` (contract_error).
+  ///
+  /// With `zero_body_head` (heads of at least 8 bytes), a record whose
+  /// first 8 plaintext bytes read as that word is taken to have been
+  /// sealed with an all-zero body: its body is zero-filled, and only the
+  /// keystream blocks that cover its head are computed. The output is
+  /// that of a full open as long as callers never seal that head with a
+  /// non-zero body; the MAC still covers the whole record.
   void open_many(std::span<const std::uint8_t> sealed,
                  std::size_t record_bytes, std::span<std::uint8_t> heads,
-                 std::span<std::uint8_t> bodies) const;
+                 std::span<std::uint8_t> bodies,
+                 std::optional<std::uint64_t> zero_body_head = {}) const;
 
  private:
   seal_keys keys_;

@@ -18,15 +18,18 @@ namespace {
 thread_local detail::codec_key_log* active_key_log = nullptr;
 
 /// Writes the plaintext form id || payload || zero padding into `plain`.
+/// `payload` may already sit at its place in `plain`.
 void write_plain(block_id id, std::span<const std::uint8_t> payload,
                  std::span<std::uint8_t> plain) {
   for (int i = 0; i < 8; ++i) {
     plain[static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(id >> (8 * i));
   }
-  const auto tail = std::copy(payload.begin(), payload.end(),
-                              plain.begin() + 8);
-  std::fill(tail, plain.end(), std::uint8_t{0});
+  if (payload.data() != plain.data() + 8) {
+    std::copy(payload.begin(), payload.end(), plain.begin() + 8);
+  }
+  std::fill(plain.begin() + 8 + static_cast<std::ptrdiff_t>(payload.size()),
+            plain.end(), std::uint8_t{0});
 }
 
 }  // namespace
@@ -56,6 +59,8 @@ void block_codec::encode(block_id id, std::span<const std::uint8_t> payload,
                          std::span<std::uint8_t> record_out) {
   expects(record_out.size() >= record_bytes_, "record buffer too small");
   expects(payload.size() <= payload_bytes_, "payload larger than block");
+  expects(id != dummy_block_id || payload.empty(),
+          "a dummy is encoded with an empty payload");
 
   // The plaintext is assembled where the ciphertext goes and sealed there.
   const std::span<std::uint8_t> plain = record_out.subspan(
@@ -79,6 +84,8 @@ void block_codec::encode_many(std::span<const block_ref> blocks,
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     expects(blocks[i].payload.size() <= payload_bytes_,
             "payload larger than block");
+    expects(blocks[i].id != dummy_block_id || blocks[i].payload.empty(),
+            "a dummy is encoded with an empty payload");
     write_plain(blocks[i].id, blocks[i].payload,
                 records_out.subspan(i * record_bytes_ + offset,
                                     8 + payload_bytes_));
@@ -86,6 +93,13 @@ void block_codec::encode_many(std::span<const block_ref> blocks,
   if (seal_) {
     sealer_.seal_many(records_out, record_bytes_);
   }
+}
+
+std::span<std::uint8_t> block_codec::payload_in(
+    std::span<std::uint8_t> record) const {
+  expects(record.size() == record_bytes_, "payload_in: one whole record");
+  return record.subspan((seal_ ? crypto::seal_nonce_bytes : 0) + 8,
+                        payload_bytes_);
 }
 
 void block_codec::encode_dummies(std::span<std::uint8_t> records_out) {
@@ -112,7 +126,8 @@ void block_codec::decode_many(std::span<const std::uint8_t> records,
   const std::span<std::uint8_t> ids(
       reinterpret_cast<std::uint8_t*>(ids_out.data()), 8 * count);
   if (seal_) {
-    sealer_.open_many(records, record_bytes_, ids, payloads_out);
+    sealer_.open_many(records, record_bytes_, ids, payloads_out,
+                      dummy_block_id);
     return;
   }
   for (std::size_t i = 0; i < count; ++i) {

@@ -20,6 +20,16 @@
 // open_many() call (crypto/seal.h), with the same bytes as the
 // one-record forms called in order. decode_many() checks every
 // record's MAC before it writes any id or payload.
+//
+// Zero-body rule: a dummy is only ever encoded with an empty payload, so
+// its body is all zeros; encode() and encode_many() reject anything else
+// (contract_error). decode_many() relies on it: once every MAC holds, it
+// decrypts each record's first keystream block, which carries the id,
+// and the rest only for real records; a dummy's payload is zero-filled.
+// Host time therefore varies with the number of real records in a run,
+// as it already did wherever callers branch on real vs dummy (stash
+// insertion, the hier probe). The virtual clock does not: callers charge
+// the modelled crypto time for every record either way.
 #ifndef HORAM_ORAM_COMMON_BLOCK_CODEC_H
 #define HORAM_ORAM_COMMON_BLOCK_CODEC_H
 
@@ -48,9 +58,9 @@ class block_codec {
   [[nodiscard]] bool sealing() const noexcept { return seal_; }
 
   /// Encodes a block into `record_out` (record_bytes long). A dummy
-  /// block is encoded by passing dummy_block_id and an empty payload; a
-  /// short payload is zero-padded. `payload` must not overlap
-  /// `record_out`.
+  /// block is encoded by passing dummy_block_id and an empty payload (a
+  /// non-empty one throws contract_error); a short payload is
+  /// zero-padded. `payload` must not overlap `record_out`.
   void encode(block_id id, std::span<const std::uint8_t> payload,
               std::span<std::uint8_t> record_out);
 
@@ -67,9 +77,18 @@ class block_codec {
   /// Encodes blocks[i] into record i of `records_out`, which holds
   /// exactly blocks.size() back-to-back records, in one batch. Record i
   /// takes the nonce encode() would give the i-th of the same calls, so
-  /// the bytes are identical. Payloads must not overlap `records_out`.
+  /// the bytes are identical. A payload is either disjoint from
+  /// `records_out` or exactly payload_in(record i), the bytes record i
+  /// already holds its payload plaintext in.
   void encode_many(std::span<const block_ref> blocks,
                    std::span<std::uint8_t> records_out);
+
+  /// The bytes of `record` (record_bytes long) that encode() fills with
+  /// the payload plaintext before sealing. A caller that writes a payload
+  /// here and passes this span to encode_many() re-encodes the record in
+  /// place, with no copy of the payload elsewhere.
+  [[nodiscard]] std::span<std::uint8_t> payload_in(
+      std::span<std::uint8_t> record) const;
 
   /// Fills `records_out` (whole records) with dummy records in one
   /// batch: the bytes of encode_dummy() on each record in order.
@@ -77,8 +96,9 @@ class block_codec {
 
   /// Decodes ids_out.size() back-to-back records: ids_out[i] gets record
   /// i's id and, unless `payloads_out` is empty, payloads_out[i ·
-  /// payload_bytes, (i + 1) · payload_bytes) its payload. When sealing,
-  /// every record's MAC is checked before any output is written: on
+  /// payload_bytes, (i + 1) · payload_bytes) its payload (zeros for a
+  /// dummy, whose body is not decrypted). When sealing, every record's
+  /// MAC is checked before any output is written: on
   /// crypto::crypto_error, ids_out and payloads_out are untouched.
   void decode_many(std::span<const std::uint8_t> records,
                    std::span<block_id> ids_out,

@@ -17,8 +17,10 @@ namespace {
 /// Slots moved per merge slice unit: one chunked range transfer. Public
 /// information by design — a pure constant of the implementation.
 constexpr std::uint64_t kChunkSlots = 512;
-/// Records per codec batch within a set-up chunk.
+/// Records per codec batch within a set-up chunk or a rewrite.
 constexpr std::uint64_t kBatchSlots = 64;
+/// slot_dest_ entry of a slot whose record does not survive a refresh.
+constexpr std::uint64_t no_slot = ~std::uint64_t{0};
 
 }  // namespace
 
@@ -85,6 +87,8 @@ hier_backend::hier_backend(
   store_ = std::make_unique<storage::block_store>(device, 0, total_slots,
                                                   rec, logical);
   payload_scratch_.assign(config_.payload_bytes, 0);
+  batch_ids_.resize(kBatchSlots);
+  batch_payloads_.resize(kBatchSlots * config_.payload_bytes);
 
   // Every block starts at the bottom level (rank = id) under a fresh
   // permutation; the other levels stay inactive until merges fill them.
@@ -186,8 +190,9 @@ cost_split hier_backend::probe_all(block_id target,
     sim::trip_scope round_trip(&store_->device());
     cost.io += store_->read_scatter(probe_slots_, probe_buf_);
   }
-  // The client decrypts the full batch whether or not a real block is
-  // inside, so real and dummy loads cost the same.
+  // The host decodes only the target's record. The modelled cost is
+  // that of decrypting the whole batch, so real and dummy loads cost the
+  // same on the virtual clock.
   cost.cpu += cpu_.crypto_time(probe_slots_.size(), rec) +
               cpu_.word_ops_time(probe_slots_.size() + 8);
 
@@ -226,45 +231,65 @@ void hier_backend::refresh_level(std::size_t idx, cost_split& cost) {
     sim::trip_scope round_trip(&store_->device());
     cost.io += store_->read_range(lvl.base, lvl.slot_count, level_buf_);
   }
+  const auto record = [&](std::uint64_t slot) {
+    return std::span(level_buf_).subspan(slot * rec, rec);
+  };
 
   // Survivors are the records the index still maps here; stale copies
-  // of extracted or re-merged blocks drop out.
-  std::vector<block_id> ids;
-  std::vector<std::uint8_t> payloads;
-  ids.reserve(lvl.live);
-  payloads.reserve(lvl.live * config_.payload_bytes);
-  for (std::uint64_t slot = 0; slot < lvl.slot_count; ++slot) {
-    const block_id id = codec_.decode(
-        std::span<const std::uint8_t>(level_buf_).subspan(slot * rec, rec),
-        payload_scratch_);
-    if (id == dummy_block_id || index_.level_of(id) != idx + 1 ||
-        index_.slot_of(id) != slot) {
-      continue;
-    }
-    ids.push_back(id);
-    payloads.insert(payloads.end(), payload_scratch_.begin(),
-                    payload_scratch_.end());
-  }
-  invariant(ids.size() == lvl.live,
-            "refresh found a live count the index disagrees with");
-
+  // of extracted or re-merged blocks drop out. The r-th survivor in slot
+  // order takes slot prp.forward(r) of the fresh epoch; its payload is
+  // decoded into its own record's payload bytes, ready to move there.
   lvl.prp = feistel_prp(lvl.slot_count, fresh_key());
   ++lvl.epoch;
   lvl.probes = 0;
   lvl.dummies_used = 0;
-  for (std::uint64_t slot = 0; slot < lvl.slot_count; ++slot) {
-    const std::uint64_t rank = lvl.prp.inverse(slot);
-    const std::span<std::uint8_t> out =
-        std::span(level_buf_).subspan(slot * rec, rec);
-    if (rank < ids.size()) {
-      codec_.encode(ids[rank],
-                    std::span<const std::uint8_t>(payloads).subspan(
-                        rank * config_.payload_bytes, config_.payload_bytes),
-                    out);
-      index_.place(ids[rank], static_cast<std::uint32_t>(idx + 1), slot);
-    } else {
-      codec_.encode_dummy(out);
+  slot_dest_.assign(lvl.slot_count, no_slot);
+  slot_ids_.assign(lvl.slot_count, dummy_block_id);
+  std::uint64_t survivors = 0;
+  for (std::uint64_t first = 0; first < lvl.slot_count; first += kBatchSlots) {
+    const std::uint64_t n = std::min(kBatchSlots, lvl.slot_count - first);
+    decode_batch(std::span(level_buf_).subspan(first * rec, n * rec));
+    for (std::uint64_t j = 0; j < n; ++j) {
+      const std::uint64_t slot = first + j;
+      const block_id id = batch_ids_[j];
+      if (id == dummy_block_id || index_.level_of(id) != idx + 1 ||
+          index_.slot_of(id) != slot) {
+        continue;
+      }
+      const std::uint64_t dest = lvl.prp.forward(survivors++);
+      std::memcpy(codec_.payload_in(record(slot)).data(),
+                  batch_payloads_.data() + j * config_.payload_bytes,
+                  config_.payload_bytes);
+      slot_dest_[slot] = dest;
+      slot_ids_[dest] = id;
     }
+  }
+  invariant(survivors == lvl.live,
+            "refresh found a live count the index disagrees with");
+
+  // Move every survivor's payload to its new slot in place (each swap
+  // settles one), then seal the level in slot order and index it.
+  for (std::uint64_t slot = 0; slot < lvl.slot_count; ++slot) {
+    while (slot_dest_[slot] != no_slot && slot_dest_[slot] != slot) {
+      const std::uint64_t dest = slot_dest_[slot];
+      const std::span<std::uint8_t> here = codec_.payload_in(record(slot));
+      const std::span<std::uint8_t> there = codec_.payload_in(record(dest));
+      std::swap_ranges(here.begin(), here.end(), there.begin());
+      std::swap(slot_dest_[slot], slot_dest_[dest]);
+    }
+  }
+  for (std::uint64_t first = 0; first < lvl.slot_count; first += kBatchSlots) {
+    const std::uint64_t n = std::min(kBatchSlots, lvl.slot_count - first);
+    refs_.assign(n, {});
+    for (std::uint64_t j = 0; j < n; ++j) {
+      const block_id id = slot_ids_[first + j];
+      if (id != dummy_block_id) {
+        refs_[j] = {id, codec_.payload_in(record(first + j))};
+        index_.place(id, static_cast<std::uint32_t>(idx + 1), first + j);
+      }
+    }
+    codec_.encode_many(refs_, std::span(level_buf_).subspan(first * rec,
+                                                           n * rec));
   }
   trace(trace_, event_kind::storage_write_sweep, lvl.base, lvl.slot_count);
   {
@@ -274,6 +299,13 @@ void hier_backend::refresh_level(std::size_t idx, cost_split& cost) {
   cost.cpu += cpu_.crypto_time(2 * lvl.slot_count, rec) +
               cpu_.word_ops_time(2 * lvl.slot_count);
   ++refreshes_;
+}
+
+void hier_backend::decode_batch(std::span<const std::uint8_t> records) {
+  const std::size_t n = records.size() / codec_.record_bytes();
+  codec_.decode_many(records, std::span(batch_ids_).first(n),
+                     std::span(batch_payloads_)
+                         .first(n * config_.payload_bytes));
 }
 
 oram_backend::load_result hier_backend::load_block(block_id id) {
@@ -418,28 +450,32 @@ class hier_shuffle_job final : public horam::shuffle_job {
       cost.io_read += owner_.store_->read_range(lvl.base + read_cursor_, n,
                                                 owner_.level_buf_);
     }
-    for (std::uint64_t j = 0; j < n; ++j) {
-      const std::uint64_t slot = read_cursor_ + j;
-      const block_id id = owner_.codec_.decode(
-          std::span<const std::uint8_t>(owner_.level_buf_)
-              .subspan(j * rec, rec),
-          owner_.payload_scratch_);
-      if (id == dummy_block_id || owner_.index_.level_of(id) != idx + 1 ||
-          owner_.index_.slot_of(id) != slot) {
-        continue;  // dummy or stale copy
+    const std::size_t payload_bytes = owner_.config_.payload_bytes;
+    for (std::uint64_t first = 0; first < n; first += kBatchSlots) {
+      const std::uint64_t batch = std::min(kBatchSlots, n - first);
+      owner_.decode_batch(
+          std::span(owner_.level_buf_).subspan(first * rec, batch * rec));
+      for (std::uint64_t j = 0; j < batch; ++j) {
+        const std::uint64_t slot = read_cursor_ + first + j;
+        const block_id id = owner_.batch_ids_[j];
+        if (id == dummy_block_id || owner_.index_.level_of(id) != idx + 1 ||
+            owner_.index_.slot_of(id) != slot) {
+          continue;  // dummy or stale copy
+        }
+        const auto payload = std::span(owner_.batch_payloads_)
+                                 .subspan(j * payload_bytes, payload_bytes);
+        const bool fresh =
+            staged_
+                .emplace(id, std::vector<std::uint8_t>(payload.begin(),
+                                                       payload.end()))
+                .second;
+        invariant(fresh, "merge staged the same block twice");
+        order_.push_back(id);
+        owner_.index_.clear(id);
+        ++owner_.cached_count_;
+        invariant(lvl.live > 0, "level live count underflow");
+        --lvl.live;
       }
-      const bool fresh =
-          staged_
-              .emplace(id, std::vector<std::uint8_t>(
-                               owner_.payload_scratch_.begin(),
-                               owner_.payload_scratch_.end()))
-              .second;
-      invariant(fresh, "merge staged the same block twice");
-      order_.push_back(id);
-      owner_.index_.clear(id);
-      ++owner_.cached_count_;
-      invariant(lvl.live > 0, "level live count underflow");
-      --lvl.live;
     }
     cost.cpu += owner_.cpu_.crypto_time(n, rec);
     read_cursor_ += n;
@@ -479,17 +515,15 @@ class hier_shuffle_job final : public horam::shuffle_job {
         std::min(kChunkSlots, lvl.slot_count - write_cursor_);
     const std::size_t rec = owner_.codec_.record_bytes();
     owner_.level_buf_.resize(n * rec);
+    std::vector<block_codec::block_ref>& refs = owner_.refs_;
+    refs.assign(n, {});
     for (std::uint64_t j = 0; j < n; ++j) {
-      const std::uint64_t slot = write_cursor_ + j;
-      const std::uint64_t rank = lvl.prp.inverse(slot);
-      const std::span<std::uint8_t> out =
-          std::span(owner_.level_buf_).subspan(j * rec, rec);
+      const std::uint64_t rank = lvl.prp.inverse(write_cursor_ + j);
       if (rank < order_.size()) {
-        owner_.codec_.encode(order_[rank], staged_.at(order_[rank]), out);
-      } else {
-        owner_.codec_.encode_dummy(out);
+        refs[j] = {order_[rank], staged_.at(order_[rank])};
       }
     }
+    owner_.codec_.encode_many(refs, owner_.level_buf_);
     trace(owner_.trace_, event_kind::storage_write_sweep,
           lvl.base + write_cursor_, n);
     {
@@ -498,13 +532,11 @@ class hier_shuffle_job final : public horam::shuffle_job {
                                                   n, owner_.level_buf_);
     }
     for (std::uint64_t j = 0; j < n; ++j) {
-      const std::uint64_t slot = write_cursor_ + j;
-      const std::uint64_t rank = lvl.prp.inverse(slot);
-      if (rank >= order_.size()) {
+      const block_id id = refs[j].id;
+      if (id == dummy_block_id) {
         continue;
       }
-      const block_id id = order_[rank];
-      owner_.index_.place(id, target_, slot);
+      owner_.index_.place(id, target_, write_cursor_ + j);
       staged_.erase(id);
       ++lvl.live;
       ++placed_;

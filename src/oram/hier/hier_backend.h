@@ -118,6 +118,10 @@ class hier_backend final : public horam::oram_backend {
   [[nodiscard]] std::uint64_t refresh_count() const noexcept {
     return refreshes_;
   }
+  /// Read-only view of the level store (tests and audits).
+  [[nodiscard]] const storage::block_store& store() const noexcept {
+    return *store_;
+  }
 
  private:
   friend class hier_shuffle_job;
@@ -149,6 +153,9 @@ class hier_backend final : public horam::oram_backend {
   /// slack). Public schedule: depends on probe counts only.
   void refresh_due_levels(cost_split& cost);
   void refresh_level(std::size_t idx, cost_split& cost);
+  /// Decodes a run of at most kBatchSlots records into batch_ids_ and
+  /// batch_payloads_.
+  void decode_batch(std::span<const std::uint8_t> records);
 
   [[nodiscard]] crypto::siphash_key fresh_key();
 
@@ -173,6 +180,14 @@ class hier_backend final : public horam::oram_backend {
   std::vector<std::uint8_t> probe_buf_;
   std::vector<std::uint8_t> payload_scratch_;
   std::vector<std::uint8_t> level_buf_;
+  /// Rewrite scratch, reused across refreshes and merge units: one
+  /// decode batch, one codec ref per slot, and a refresh's per-slot
+  /// moves (where each survivor goes; which block lands in each slot).
+  std::vector<block_id> batch_ids_;
+  std::vector<std::uint8_t> batch_payloads_;
+  std::vector<block_codec::block_ref> refs_;
+  std::vector<std::uint64_t> slot_dest_;
+  std::vector<block_id> slot_ids_;
 };
 
 }  // namespace horam::oram

@@ -90,7 +90,7 @@ sim::sim_time partitioned_store::write_partition(
 std::span<const std::uint8_t> partitioned_store::peek_slot(
     std::uint64_t partition, std::uint64_t index) const {
   expects(partition < geometry_.partition_count, "partition out of range");
-  expects(index < geometry_.main_capacity, "slot index out of range");
+  expects(index < geometry_.slots_per_partition(), "slot index out of range");
   return store_.peek(main_base(partition) + index);
 }
 

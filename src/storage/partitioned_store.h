@@ -78,7 +78,9 @@ class partitioned_store {
   sim::sim_time write_partition(std::uint64_t partition,
                                 std::span<const std::uint8_t> records);
 
-  /// Test-only view of one main-region record (no time charged).
+  /// Test-only view of one record (no time charged): local slot `index`
+  /// is in the main region below main_capacity, in the append region
+  /// from there to slots_per_partition().
   [[nodiscard]] std::span<const std::uint8_t> peek_slot(
       std::uint64_t partition, std::uint64_t index) const;
 

@@ -3,10 +3,13 @@
 // shuffle, and the partial-shuffle append/masking machinery.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <unordered_map>
 
 #include "core/storage_layer.h"
+#include "crypto/siphash.h"
+#include "lane_widths.h"
 #include "sim/profiles.h"
 #include "util/rng.h"
 
@@ -349,6 +352,109 @@ TEST(StorageLayerPartial, DifferentialWorkloadAcrossPeriods) {
     }
   }
 }
+
+
+// ------------------------------------------------------- golden images
+
+struct layer_digests {
+  std::uint64_t decoded = 0;
+  std::uint64_t trace = 0;
+};
+
+void append_word(std::vector<std::uint8_t>& out, std::uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<std::uint8_t>(word >> (8 * i)));
+  }
+}
+
+/// Digests of a fixed-seed run over five shuffle periods, every second
+/// partition due each period (so append segments and masking reads
+/// occur): `decoded` covers every payload the run loads, each written
+/// slot's decoded id and payload, and every block's slot; `trace` covers
+/// the access trace. Sealed bytes are left out on purpose: they depend
+/// on how many nonces a rewrite takes, the layout does not. The seeds
+/// are constants, not test::seed(), so the digests are too.
+layer_digests golden_digests() {
+  sim::block_device disk{sim::hdd_paper()};
+  const sim::cpu_model cpu{sim::cpu_aesni()};
+  util::pcg64 rng{2019};
+  oram::access_trace trace;
+  horam_config c;
+  c.block_count = 256;
+  c.memory_blocks = 32;
+  c.payload_bytes = 200;  // four keystream blocks per record
+  c.seal = true;
+  c.shuffle_every_periods = 2;
+  const std::function<void(block_id, std::span<std::uint8_t>)> filler =
+      [](block_id id, std::span<std::uint8_t> out) {
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          out[i] = static_cast<std::uint8_t>(id * 31 + i);
+        }
+      };
+  storage_layer layer(c, disk, cpu, rng, &trace, &filler);
+
+  std::vector<std::uint8_t> loaded;
+  std::vector<evicted_block> in_memory;
+  util::pcg64 ops(78);
+  for (std::uint64_t period = 0; period < 5; ++period) {
+    for (int k = 0; k < 16; ++k) {
+      const block_id id = util::uniform_below(ops, c.block_count);
+      storage_layer::load_result result =
+          layer.in_storage(id) ? layer.load_block(id) : layer.dummy_load();
+      if (result.id == dummy_block_id) {
+        continue;
+      }
+      append_word(loaded, result.id);
+      loaded.insert(loaded.end(), result.payload.begin(),
+                    result.payload.end());
+      result.payload[0] ^= static_cast<std::uint8_t>(period + 1);
+      in_memory.push_back(evicted_block{result.id, std::move(result.payload)});
+    }
+    std::vector<evicted_block> overflow;
+    layer.shuffle_period(std::move(in_memory), period, overflow);
+    in_memory = std::move(overflow);
+  }
+  EXPECT_GT(layer.stats().append_segments, 0u);
+  EXPECT_GT(layer.stats().masking_reads, 0u);
+  EXPECT_NO_THROW(layer.check_consistency());
+
+  const oram::block_codec codec(c.payload_bytes, true, c.key_seed ^ 0x5a);
+  const storage::partitioned_store& store = layer.store();
+  std::vector<std::uint8_t> payload(c.payload_bytes);
+  for (std::uint64_t p = 0; p < store.geometry().partition_count; ++p) {
+    const std::uint64_t written =
+        store.geometry().main_capacity + store.appended_count(p);
+    for (std::uint64_t code = 0; code < written; ++code) {
+      append_word(loaded, codec.decode(store.peek_slot(p, code), payload));
+      loaded.insert(loaded.end(), payload.begin(), payload.end());
+    }
+  }
+  for (block_id id = 0; id < c.block_count; ++id) {
+    append_word(loaded, layer.slot_of(id).value_or(~std::uint64_t{0}));
+  }
+  std::vector<std::uint8_t> events;
+  for (const oram::trace_event& event : trace.events()) {
+    append_word(events, static_cast<std::uint64_t>(event.kind));
+    append_word(events, event.a);
+    append_word(events, event.b);
+  }
+  return {crypto::siphash24(crypto::siphash_key{}, loaded),
+          crypto::siphash24(crypto::siphash_key{}, events)};
+}
+
+// Recorded before the partition rewrite sealed each slot once through
+// encode_many(): what the slots hold, where every block lives and what
+// the bus shows must not change, at any kernel width.
+using StorageLayerGolden = test::lane_width_test;
+
+TEST_P(StorageLayerGolden, DecodedImageAndTraceMatchRecordedDigests) {
+  const layer_digests digests = golden_digests();
+  EXPECT_EQ(digests.decoded, 0x95f31bb12814e998ULL);
+  EXPECT_EQ(digests.trace, 0x15c8f3003e82b96aULL);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, StorageLayerGolden, test::lane_widths(),
+                         test::lane_width_name);
 
 }  // namespace
 }  // namespace horam

@@ -717,6 +717,56 @@ TEST_P(SealLanes, TamperedOpenManyLeavesOutputUntouched) {
   }
 }
 
+// With a zero-body head, records whose head is that word come back with
+// zero bodies, without their bodies being decrypted, and the rest as a
+// full open gives them; heads longer than the marker and bodies that
+// start inside the first keystream block are covered.
+TEST_P(SealLanes, ZeroBodyHeadOpensLikeAFullOpen) {
+  constexpr std::uint64_t marker = 0xfeedfacecafebeefULL;
+  for (const std::size_t record_bytes : {44u, 1052u, 2220u}) {
+    const std::size_t size = record_bytes - seal_overhead;
+    for (const std::size_t count : {1u, 9u, 17u, 65u}) {
+      block_sealer sealer(derive_seal_keys(24));
+      std::vector<std::uint8_t> batch(count * record_bytes, 0);
+      for (std::size_t r = 0; r < count; ++r) {
+        std::uint8_t* plain =
+            batch.data() + r * record_bytes + seal_nonce_bytes;
+        if (r % 3 == 1) {
+          std::memcpy(plain, &marker, sizeof marker);  // body stays zero
+        } else {
+          const auto bytes = pattern(size, 9, static_cast<unsigned>(r));
+          std::copy(bytes.begin(), bytes.end(), plain);
+        }
+      }
+      sealer.seal_many(batch, record_bytes);
+      for (const std::size_t h : {std::size_t{8}, std::size_t{24}}) {
+        if (h > size) {
+          continue;
+        }
+        std::vector<std::uint8_t> heads(count * h, 0x5a);
+        std::vector<std::uint8_t> bodies(count * (size - h), 0x5a);
+        sealer.open_many(batch, record_bytes, heads, bodies);
+        std::vector<std::uint8_t> skip_heads(count * h, 0xa5);
+        std::vector<std::uint8_t> skip_bodies(count * (size - h), 0xa5);
+        sealer.open_many(batch, record_bytes, skip_heads, skip_bodies, marker);
+        EXPECT_EQ(skip_heads, heads)
+            << "record " << record_bytes << ", count " << count << ", head " << h;
+        EXPECT_EQ(skip_bodies, bodies)
+            << "record " << record_bytes << ", count " << count << ", head " << h;
+        std::vector<std::uint8_t> head_only(count * h, 0xa5);
+        sealer.open_many(batch, record_bytes, head_only, {}, marker);
+        EXPECT_EQ(head_only, heads);
+      }
+    }
+  }
+  block_sealer sealer(derive_seal_keys(25));
+  std::vector<std::uint8_t> batch(2 * 44, 0);
+  sealer.seal_many(batch, 44);
+  std::vector<std::uint8_t> short_heads(2 * 7), bodies(2 * 17);
+  EXPECT_THROW(sealer.open_many(batch, 44, short_heads, bodies, marker),
+               contract_error);
+}
+
 TEST(Seal, ManyRejectsMalformedBatches) {
   block_sealer sealer(derive_seal_keys(23));
   std::vector<std::uint8_t> batch(3 * 44, 0);

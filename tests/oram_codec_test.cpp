@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
+#include <utility>
 
 #include "lane_widths.h"
 #include "oram/common/block_codec.h"
@@ -201,6 +204,144 @@ TEST_P(CodecLanes, GoldenSealedRecord) {
   EXPECT_EQ(codec.decode(record, out), 42u);
   EXPECT_EQ(out, payload);
   EXPECT_EQ(codec.decode(record, {}), 42u);  // id only
+}
+
+/// Runs of `count` blocks, those with dummy(i) dummies and the rest real
+/// blocks with distinct payloads (every fourth one short, so zero-padded).
+struct block_run {
+  std::vector<std::vector<std::uint8_t>> payloads;
+  std::vector<block_codec::block_ref> blocks;
+
+  block_run(std::size_t count, std::size_t payload_bytes,
+            const std::function<bool(std::size_t)>& dummy) {
+    payloads.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      std::vector<std::uint8_t>& payload = payloads.emplace_back(
+          i % 4 == 3 ? payload_bytes / 3 : payload_bytes);
+      for (std::size_t b = 0; b < payload.size(); ++b) {
+        payload[b] = static_cast<std::uint8_t>(i * 13 + b * 7 + 1);
+      }
+      if (dummy(i)) {
+        blocks.push_back({});
+      } else {
+        blocks.push_back({1000 + i, payload});
+      }
+    }
+  }
+};
+
+// Dummy bodies are zero-filled rather than decrypted; the output must
+// still be what a full decrypt gives, across run lengths either side of
+// the kernel widths and the 64-record MAC and seal slices.
+TEST_P(CodecLanes, DecodeManyMatchesDecodeAtEveryDummyShare) {
+  constexpr std::size_t payload_bytes = 1024;  // 17 keystream blocks
+  const std::vector<std::pair<const char*, std::function<bool(std::size_t)>>>
+      shares = {{"no dummies", [](std::size_t) { return false; }},
+                {"80% dummies", [](std::size_t i) { return i % 5 != 2; }},
+                {"all dummies", [](std::size_t) { return true; }}};
+  for (const std::size_t count : {1, 15, 16, 17, 63, 64, 65, 130}) {
+    for (const auto& [share, dummy] : shares) {
+      SCOPED_TRACE(std::to_string(count) + " records, " + share);
+      block_codec codec(payload_bytes, true, 40 + count);
+      const std::size_t rec = codec.record_bytes();
+      const block_run run(count, payload_bytes, dummy);
+      std::vector<std::uint8_t> records(count * rec);
+      codec.encode_many(run.blocks, records);
+
+      std::vector<block_id> ids(count, 7);
+      std::vector<std::uint8_t> out(count * payload_bytes, 0xee);
+      codec.decode_many(records, ids, out);
+      std::vector<block_id> ids_only(count, 7);
+      codec.decode_many(records, ids_only, {});
+      EXPECT_EQ(ids_only, ids);
+      std::vector<std::uint8_t> payload(payload_bytes);
+      for (std::size_t i = 0; i < count; ++i) {
+        std::fill(payload.begin(), payload.end(), 0x5a);
+        ASSERT_EQ(ids[i], codec.decode(std::span(records).subspan(i * rec, rec),
+                                       payload))
+            << "record " << i;
+        ASSERT_TRUE(std::equal(payload.begin(), payload.end(),
+                               out.begin() + static_cast<std::ptrdiff_t>(
+                                                 i * payload_bytes)))
+            << "record " << i;
+      }
+    }
+  }
+}
+
+// A dummy's body is never decrypted by decode_many(), but its MAC is
+// still checked: a flipped byte anywhere in it fails the whole run
+// before any output is written.
+TEST_P(CodecLanes, TamperedDummyBodyFailsDecodeManyAndWritesNothing) {
+  constexpr std::size_t payload_bytes = 1024;
+  for (const std::size_t count : {1, 17, 65}) {
+    block_codec codec(payload_bytes, true, 70 + count);
+    const std::size_t rec = codec.record_bytes();
+    const block_run run(count, payload_bytes,
+                        [&](std::size_t i) { return i == count / 2 || i % 3 == 0; });
+    std::vector<std::uint8_t> records(count * rec);
+    codec.encode_many(run.blocks, records);
+    const std::size_t dummy = count / 2;
+    // Body bytes past the id's keystream block: early, mid and last.
+    for (const std::size_t offset :
+         {crypto::seal_nonce_bytes + 64, crypto::seal_nonce_bytes + 600,
+          crypto::seal_nonce_bytes + 8 + payload_bytes - 1}) {
+      SCOPED_TRACE(std::to_string(count) + " records, byte " +
+                   std::to_string(offset));
+      std::vector<std::uint8_t> tampered = records;
+      tampered[dummy * rec + offset] ^= 0x20;
+      std::vector<block_id> ids(count, 7);
+      std::vector<std::uint8_t> out(count * payload_bytes, 0xee);
+      EXPECT_THROW(codec.decode_many(tampered, ids, out), crypto::crypto_error);
+      EXPECT_EQ(ids, std::vector<block_id>(count, 7));
+      EXPECT_EQ(out, std::vector<std::uint8_t>(count * payload_bytes, 0xee));
+      EXPECT_THROW(codec.decode_many(tampered, ids, {}), crypto::crypto_error);
+      EXPECT_EQ(ids, std::vector<block_id>(count, 7));
+    }
+  }
+}
+
+TEST(Codec, DummyWithPayloadIsAContractViolation) {
+  block_codec codec(32, true, 11);
+  const std::size_t rec = codec.record_bytes();
+  const std::vector<std::uint8_t> payload(32, 0);
+  std::vector<std::uint8_t> records(2 * rec);
+  EXPECT_THROW(codec.encode(dummy_block_id, payload, records), contract_error);
+  EXPECT_THROW(
+      codec.encode(dummy_block_id, std::span(payload).first(1), records),
+      contract_error);
+  const std::vector<block_codec::block_ref> blocks = {{1, payload},
+                                                      {dummy_block_id, payload}};
+  EXPECT_THROW(codec.encode_many(blocks, records), contract_error);
+  codec.encode(dummy_block_id, {}, records);
+  codec.encode_many(std::vector<block_codec::block_ref>(2), records);
+}
+
+// encode_many() takes a payload that already sits in its own record
+// (payload_in) and gives the bytes of encoding it from elsewhere.
+TEST_P(CodecSealModes, EncodeManyInPlaceMatchesCopyForm) {
+  block_codec in_place(40, GetParam(), 12);
+  block_codec copied(40, GetParam(), 12);
+  const std::size_t rec = in_place.record_bytes();
+  const block_run run(5, 40, [](std::size_t i) { return i == 2; });
+  std::vector<std::uint8_t> expected(5 * rec);
+  copied.encode_many(run.blocks, expected);
+
+  std::vector<std::uint8_t> records(5 * rec, 0x77);
+  std::vector<block_codec::block_ref> refs(5);
+  for (std::size_t i = 0; i < 5; ++i) {
+    if (run.blocks[i].id == dummy_block_id) {
+      continue;
+    }
+    const std::span<std::uint8_t> slot =
+        in_place.payload_in(std::span(records).subspan(i * rec, rec));
+    std::fill(slot.begin(), slot.end(), 0);
+    std::copy(run.blocks[i].payload.begin(), run.blocks[i].payload.end(),
+              slot.begin());
+    refs[i] = {run.blocks[i].id, slot};
+  }
+  in_place.encode_many(refs, records);
+  EXPECT_EQ(records, expected);
 }
 
 TEST(Codec, SealedDecodeIntoLargerBufferWritesPayloadOnly) {

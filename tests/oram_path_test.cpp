@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "analysis/pattern_audit.h"
@@ -327,6 +328,69 @@ TEST(PathOram, TamperedTreeRecordDetected) {
     ASSERT_NE(it, after.end()) << "block " << id;
     EXPECT_EQ(it->second.leaf, entry.leaf) << "block " << id;
     EXPECT_EQ(it->second.payload, entry.payload) << "block " << id;
+  }
+}
+
+TEST(PathOram, TamperedDummyBodyOnThePathDetected) {
+  // A path read decrypts only the id of a dummy, yet its MAC still
+  // covers the body: flipping a body byte of a dummy slot on the path
+  // makes the next access to that leaf throw, before the stash or the
+  // position map changes. extract() reads the block's path without
+  // remapping it first, so the whole position map must be as it was.
+  fixture fx;
+  path_oram_config config = fx.config(4);
+  config.payload_bytes = 200;  // the body spans keystream blocks 1-3
+  detail::path_store_log log;
+  path_oram oram(config, fx.memory, nullptr, fx.cpu, fx.rng, nullptr);
+  for (block_id id = 0; id < 12; ++id) {
+    oram.access(op_kind::write, id, payload_of(static_cast<std::uint8_t>(id)),
+                {});
+  }
+  ASSERT_EQ(log.trees().size(), 1u);
+  storage::block_store& store = *log.trees()[0].memory;
+
+  const leaf_id leaf = oram.leaf_of(0);
+  const std::uint64_t z = config.bucket_size;
+  const block_codec codec(config.payload_bytes, true, config.key_seed);
+  std::optional<std::uint64_t> dummy_slot;
+  for (std::uint32_t level = 0; level < oram.level_count() && !dummy_slot;
+       ++level) {
+    const std::uint64_t bucket = ((std::uint64_t{1} << level) - 1) +
+                                 (leaf >> (oram.level_count() - 1 - level));
+    for (std::uint64_t k = 0; k < z && !dummy_slot; ++k) {
+      if (codec.decode(store.peek(bucket * z + k), {}) == dummy_block_id) {
+        dummy_slot = bucket * z + k;
+      }
+    }
+  }
+  ASSERT_TRUE(dummy_slot.has_value());
+
+  std::map<block_id, stash_entry> before;
+  for (const auto& [id, entry] : oram.stash_ref()) {
+    before.emplace(id, entry);
+  }
+  std::vector<leaf_id> leaves_before;
+  for (block_id id = 0; id < 12; ++id) {
+    leaves_before.push_back(oram.leaf_of(id));
+  }
+  store.corrupt(*dummy_slot, crypto::seal_nonce_bytes + 8 + 150, 0x10);
+  std::vector<std::uint8_t> out(config.payload_bytes);
+  EXPECT_THROW(oram.extract(0, out), crypto::crypto_error);
+
+  std::map<block_id, stash_entry> after;
+  for (const auto& [id, entry] : oram.stash_ref()) {
+    after.emplace(id, entry);
+  }
+  ASSERT_EQ(after.size(), before.size());
+  for (const auto& [id, entry] : before) {
+    const auto it = after.find(id);
+    ASSERT_NE(it, after.end()) << "block " << id;
+    EXPECT_EQ(it->second.leaf, entry.leaf) << "block " << id;
+    EXPECT_EQ(it->second.payload, entry.payload) << "block " << id;
+  }
+  for (block_id id = 0; id < 12; ++id) {
+    ASSERT_TRUE(oram.contains(id)) << "block " << id;
+    EXPECT_EQ(oram.leaf_of(id), leaves_before[id]) << "block " << id;
   }
 }
 
