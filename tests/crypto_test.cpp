@@ -749,10 +749,11 @@ TEST_P(SealLanes, ZeroBodyHeadOpensLikeAFullOpen) {
         std::vector<std::uint8_t> skip_heads(count * h, 0xa5);
         std::vector<std::uint8_t> skip_bodies(count * (size - h), 0xa5);
         sealer.open_many(batch, record_bytes, skip_heads, skip_bodies, marker);
-        EXPECT_EQ(skip_heads, heads)
-            << "record " << record_bytes << ", count " << count << ", head " << h;
-        EXPECT_EQ(skip_bodies, bodies)
-            << "record " << record_bytes << ", count " << count << ", head " << h;
+        const std::string where = "record " + std::to_string(record_bytes) +
+                                  ", count " + std::to_string(count) +
+                                  ", head " + std::to_string(h);
+        EXPECT_EQ(skip_heads, heads) << where;
+        EXPECT_EQ(skip_bodies, bodies) << where;
         std::vector<std::uint8_t> head_only(count * h, 0xa5);
         sealer.open_many(batch, record_bytes, head_only, {}, marker);
         EXPECT_EQ(head_only, heads);

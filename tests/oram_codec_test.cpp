@@ -277,8 +277,9 @@ TEST_P(CodecLanes, TamperedDummyBodyFailsDecodeManyAndWritesNothing) {
   for (const std::size_t count : {1, 17, 65}) {
     block_codec codec(payload_bytes, true, 70 + count);
     const std::size_t rec = codec.record_bytes();
-    const block_run run(count, payload_bytes,
-                        [&](std::size_t i) { return i == count / 2 || i % 3 == 0; });
+    const block_run run(count, payload_bytes, [&](std::size_t i) {
+      return i == count / 2 || i % 3 == 0;
+    });
     std::vector<std::uint8_t> records(count * rec);
     codec.encode_many(run.blocks, records);
     const std::size_t dummy = count / 2;
@@ -310,8 +311,8 @@ TEST(Codec, DummyWithPayloadIsAContractViolation) {
   EXPECT_THROW(
       codec.encode(dummy_block_id, std::span(payload).first(1), records),
       contract_error);
-  const std::vector<block_codec::block_ref> blocks = {{1, payload},
-                                                      {dummy_block_id, payload}};
+  const std::vector<block_codec::block_ref> blocks = {
+      {1, payload}, {dummy_block_id, payload}};
   EXPECT_THROW(codec.encode_many(blocks, records), contract_error);
   codec.encode(dummy_block_id, {}, records);
   codec.encode_many(std::vector<block_codec::block_ref>(2), records);
