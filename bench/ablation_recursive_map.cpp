@@ -23,7 +23,7 @@ int main() {
                "blocks; flat map = 4 MB trusted) ===\n";
   util::text_table table({"Entries/block", "Threshold", "Levels",
                           "Trusted bytes", "Map-ORAM bytes",
-                          "Lookup cost", "Assign cost"});
+                          "Lookup cost", "Exchange cost"});
 
   struct option {
     std::uint64_t epb;
@@ -48,12 +48,12 @@ int main() {
 
     // Average a handful of operations.
     oram::cost_split lookup_cost;
-    oram::cost_split assign_cost;
+    oram::cost_split exchange_cost;
     constexpr int samples = 50;
     for (int i = 0; i < samples; ++i) {
       const oram::block_id id = util::uniform_below(rng, universe);
-      assign_cost += map.assign(id, i + 1);
       std::optional<oram::leaf_id> out;
+      exchange_cost += map.exchange(id, i + 1, out);
       lookup_cost += map.lookup(id, out);
     }
     table.add_row(
@@ -62,7 +62,7 @@ int main() {
          util::format_bytes(map.trusted_bytes()),
          util::format_bytes(map.oram_bytes()),
          util::format_time_ns(lookup_cost.total() / samples),
-         util::format_time_ns(assign_cost.total() / samples)});
+         util::format_time_ns(exchange_cost.total() / samples)});
   }
   table.print(std::cout);
   std::cout << "Each level adds one in-memory path access per map "

@@ -8,18 +8,26 @@
 // device. Fronted by the H-ORAM controller (whose cache tree plays the
 // role of a very large shelter):
 //   * a real miss walks the recursive map (one ORAM access per level)
-//     to locate the block's leaf, then extracts the block with one path
-//     read + write-back — the live copy moves to the controller's tree;
+//     to locate the block's leaf and, in the same read-modify-write,
+//     records its next leaf F_k(id, epoch) — Path ORAM's remap inside
+//     the access that reads the block. One path read + write-back then
+//     extracts the block; the live copy moves to the controller's tree;
 //   * a dummy load performs a dummy map walk (uniform random id) plus a
 //     dummy path access, so real and dummy loads are indistinguishable
 //     on both the map and the tree bus;
 //   * the shuffle period is Path ORAM's no-reshuffle answer: every
-//     evicted block re-enters the stash with a fresh uniform leaf (the
-//     same leaf is recorded in the recursive map), and a burst of dummy
-//     accesses — its length a function of the (public) eviction size
-//     only — drains the stash back into the tree. Blocks the drain
-//     cannot place simply stay in the stash: the stash is the scheme's
-//     trusted holding area, so no overflow is ever handed back.
+//     evicted block re-enters the stash at the leaf its load recorded
+//     (recomputed from the PRF, so the shuffle touches no map ORAM),
+//     and a burst of force_evict() accesses along a reverse-
+//     lexicographic leaf order drains the stash back into the tree. The
+//     burst length is level_count + ⌈E/Z⌉ for E evicted blocks — a
+//     function of the public hot-set size only. Blocks the drain cannot
+//     place simply stay in the stash: the stash is the scheme's trusted
+//     holding area, so no overflow is ever handed back.
+//
+// F_k is SipHash-2-4 under a per-shard key (oram/common/leaf_prf.h);
+// like sealing, its secrecy is computational. The machinery is shared
+// with ring_backend through tree_backend (oram/common/tree_backend.h).
 //
 // The adapter keeps the recursive map authoritative at the interface:
 // every load first walks the map and verifies the answer against the
@@ -31,22 +39,19 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
-#include <vector>
 
 #include "core/config.h"
-#include "core/oram_backend.h"
 #include "oram/common/access_trace.h"
+#include "oram/common/tree_backend.h"
 #include "oram/path/path_oram.h"
-#include "oram/path/recursive_position_map.h"
 #include "sim/cpu_model.h"
 #include "sim/device.h"
 #include "util/rng.h"
 
 namespace horam::oram {
 
-class path_backend final : public horam::oram_backend {
+class path_backend final : public tree_backend<path_oram> {
  public:
   /// Builds the tree holding every block in [0, config.block_count);
   /// `filler` provides initial payloads (null = zero-filled). The
@@ -63,58 +68,8 @@ class path_backend final : public horam::oram_backend {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "path";
   }
-  [[nodiscard]] bool in_storage(block_id id) const override;
-  load_result load_block(block_id id) override;
-  load_result dummy_load() override;
-  /// Implemented as begin_shuffle() driven to completion in one
-  /// unbounded step, so the monolithic and incremental entry points
-  /// are interchangeable by construction.
-  horam::shuffle_cost shuffle_period(
-      std::vector<evicted_block> evicted, std::uint64_t period_index,
-      std::vector<evicted_block>& overflow_out) override;
-
-  /// Native incremental shuffle: the slice units are single stash
-  /// re-installs (fresh uniform leaf + map assign) followed by single
-  /// stash-drain dummy accesses, so the deamortized pipeline can stop
-  /// after any access. Nothing is ever handed back — the stash is the
-  /// scheme's trusted holding area.
-  [[nodiscard]] std::unique_ptr<horam::shuffle_job> begin_shuffle(
-      std::vector<evicted_block> evicted,
-      std::uint64_t period_index) override;
-  [[nodiscard]] const horam::backend_stats& stats() const noexcept override {
-    return stats_;
-  }
   [[nodiscard]] std::uint64_t physical_bytes() const override;
   [[nodiscard]] std::uint64_t control_memory_bytes() const override;
-  void check_consistency() const override;
-
-  [[nodiscard]] const path_oram& tree() const noexcept { return *tree_; }
-  [[nodiscard]] const recursive_position_map& map() const noexcept {
-    return *map_;
-  }
-  /// Dummy accesses issued by the last shuffle period's stash drain.
-  [[nodiscard]] std::uint64_t last_drain_accesses() const noexcept {
-    return last_drain_accesses_;
-  }
-
- private:
-  friend class path_shuffle_job;
-
-  horam_config config_;
-  const sim::cpu_model& cpu_;
-  util::random_source& rng_;
-  access_trace* trace_;
-
-  std::unique_ptr<path_oram> tree_;
-  std::unique_ptr<recursive_position_map> map_;
-
-  /// cached_[id] != 0 iff the live copy moved to the controller's cache.
-  std::vector<std::uint8_t> cached_;
-  std::uint64_t cached_count_ = 0;
-  std::uint64_t last_drain_accesses_ = 0;
-
-  horam::backend_stats stats_;
-  std::vector<std::uint8_t> payload_scratch_;
 };
 
 }  // namespace horam::oram

@@ -451,6 +451,13 @@ cost_split path_oram::dummy_access() {
   return path_access(leaf, dummy_block_id, op_kind::read, {}, {});
 }
 
+cost_split path_oram::force_evict() {
+  ++stats_.forced_evictions;
+  const leaf_id leaf =
+      util::reverse_bits(evict_counter_++, level_count_ - 1);
+  return path_access(leaf, dummy_block_id, op_kind::read, {}, {});
+}
+
 cost_split path_oram::install(block_id id,
                               std::span<const std::uint8_t> payload) {
   return install(id, payload, util::uniform_below(rng_, config_.leaf_count));

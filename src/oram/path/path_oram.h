@@ -9,7 +9,7 @@
 //     evaluates against (Figure 3-1 a, ZeroTrace-style);
 //   * split_level == 0: the whole tree on storage — the `path`
 //     oram_backend (oram/path/path_backend.h), driven through
-//     extract/install instead of plain accesses.
+//     extract/install/force_evict instead of plain accesses.
 //
 // Every access reads one root-to-leaf path bucket by bucket, remaps the
 // requested block to a fresh uniform leaf, and greedily writes the path
@@ -75,6 +75,9 @@ struct path_oram_stats {
   std::uint64_t dummy_accesses = 0;
   std::uint64_t installs = 0;
   std::uint64_t evictions = 0;
+  /// force_evict() calls (stash drains; the cache tree never issues
+  /// one).
+  std::uint64_t forced_evictions = 0;
 };
 
 class path_oram {
@@ -150,6 +153,14 @@ class path_oram {
   /// A dummy access: random path read + write-back. Indistinguishable
   /// from access() on the bus; drains the stash as a side effect.
   cost_split dummy_access();
+
+  /// A dummy access along the next path of a persistent
+  /// reverse-lexicographic leaf counter instead of a random one. The
+  /// order is public and fixed, so it reveals nothing; it spreads
+  /// consecutive write-backs over disjoint subtrees, which drains a
+  /// full stash in fewer accesses than random paths (Ring ORAM's
+  /// eviction order). Used by the path backend's shuffle drain.
+  cost_split force_evict();
 
   /// Installs a block arriving from the storage layer into the stash
   /// with a fresh uniform leaf (H-ORAM's I/O load path). Control-layer
@@ -270,6 +281,8 @@ class path_oram {
   stash stash_;
   std::uint64_t resident_ = 0;
   path_oram_stats stats_;
+  /// force_evict() calls so far (drives the reverse-lex order).
+  std::uint64_t evict_counter_ = 0;
 
   /// Page geometry + valid bits; null under storage_layout::flat (and
   /// when no level is storage-resident).

@@ -116,12 +116,27 @@ cost_split recursive_position_map::level_access(
 
 cost_split recursive_position_map::lookup(block_id id,
                                           std::optional<leaf_id>& out) {
+  return walk(id, std::nullopt, out);
+}
+
+cost_split recursive_position_map::exchange(
+    block_id id, leaf_id next, std::optional<leaf_id>& previous) {
+  expects(next != absent, "reserved leaf value");
+  return walk(id, next, previous);
+}
+
+cost_split recursive_position_map::walk(block_id id,
+                                        std::optional<leaf_id> next,
+                                        std::optional<leaf_id>& out) {
   expects(id < config_.universe, "block id outside the universe");
   cost_split cost;
 
   if (levels_.empty()) {
     const leaf_id value = residue_[id];
     out = value == absent ? std::nullopt : std::optional<leaf_id>(value);
+    if (next.has_value()) {
+      residue_[id] = *next;
+    }
     return cost;
   }
 
@@ -140,52 +155,8 @@ cost_split recursive_position_map::lookup(block_id id,
     cost += level_access(level, index, std::nullopt, ignored);
   }
   leaf_id value = absent;
-  cost += level_access(0, id, std::nullopt, value);
+  cost += level_access(0, id, next, value);
   out = value == absent ? std::nullopt : std::optional<leaf_id>(value);
-  return cost;
-}
-
-cost_split recursive_position_map::assign(block_id id, leaf_id leaf) {
-  expects(id < config_.universe, "block id outside the universe");
-  expects(leaf != absent, "reserved leaf value");
-  cost_split cost;
-  if (levels_.empty()) {
-    residue_[id] = leaf;
-    return cost;
-  }
-  for (std::size_t level = levels_.size(); level-- > 1;) {
-    leaf_id ignored = absent;
-    std::uint64_t index = id;
-    for (std::size_t k = 0; k < level; ++k) {
-      index /= config_.entries_per_block;
-    }
-    // Deeper map levels refresh their (pattern-bearing) entries too.
-    cost += level_access(level, index, std::optional<leaf_id>(0),
-                         ignored);
-  }
-  leaf_id ignored = absent;
-  cost += level_access(0, id, std::optional<leaf_id>(leaf), ignored);
-  return cost;
-}
-
-cost_split recursive_position_map::remove(block_id id) {
-  expects(id < config_.universe, "block id outside the universe");
-  cost_split cost;
-  if (levels_.empty()) {
-    residue_[id] = absent;
-    return cost;
-  }
-  for (std::size_t level = levels_.size(); level-- > 1;) {
-    leaf_id ignored = absent;
-    std::uint64_t index = id;
-    for (std::size_t k = 0; k < level; ++k) {
-      index /= config_.entries_per_block;
-    }
-    cost += level_access(level, index, std::optional<leaf_id>(0),
-                         ignored);
-  }
-  leaf_id ignored = absent;
-  cost += level_access(0, id, std::optional<leaf_id>(absent), ignored);
   return cost;
 }
 

@@ -51,8 +51,8 @@ class recursive_position_map {
  public:
   /// `initial` optionally seeds the map in bulk: initial[id] becomes the
   /// assigned leaf of every id < initial.size() (one streaming build of
-  /// the level-0 ORAM instead of per-id assign() accesses). Empty means
-  /// every id starts unassigned.
+  /// the level-0 ORAM instead of per-id exchange() accesses). Empty
+  /// means every id starts unassigned.
   recursive_position_map(const recursive_map_config& config,
                          sim::block_device& memory_device,
                          const sim::cpu_model& cpu,
@@ -71,14 +71,17 @@ class recursive_position_map {
   [[nodiscard]] std::uint64_t oram_bytes() const noexcept;
 
   /// Looks up the leaf of `id`; `out` is empty when unassigned.
-  /// Cost: one ORAM read per level.
+  /// Cost: one ORAM access per level (each a read-modify-write that
+  /// writes the path back).
   cost_split lookup(block_id id, std::optional<leaf_id>& out);
 
-  /// Assigns a leaf. Cost: one ORAM read-modify-write per level.
-  cost_split assign(block_id id, leaf_id leaf);
-
-  /// Removes an assignment (same cost as assign).
-  cost_split remove(block_id id);
+  /// Looks up the leaf of `id` into `previous` (empty when unassigned)
+  /// and stores `next` in its place within the same walk: the level-0
+  /// access edits the entry while the map block passes through the
+  /// stash. Same accesses, cost and bus shape as lookup(), so a remap
+  /// on load looks exactly like a plain lookup.
+  cost_split exchange(block_id id, leaf_id next,
+                      std::optional<leaf_id>& previous);
 
   /// Visits every assigned (id, leaf) entry without charging device
   /// time (audits only; backends compare against the data ORAM's own
@@ -94,6 +97,10 @@ class recursive_position_map {
   cost_split level_access(std::size_t level, std::uint64_t index,
                           std::optional<leaf_id> new_value,
                           leaf_id& current_out);
+  /// The walk behind lookup() and exchange(): deepest level first,
+  /// with `next` (if set) written into the level-0 entry.
+  cost_split walk(block_id id, std::optional<leaf_id> next,
+                  std::optional<leaf_id>& out);
 
   recursive_map_config config_;
   /// levels_[0] holds the data-level entries; deeper levels hold the

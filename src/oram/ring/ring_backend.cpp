@@ -1,28 +1,30 @@
 #include "oram/ring/ring_backend.h"
 
-#include <algorithm>
-#include <unordered_map>
-#include <utility>
-
-#include "util/contracts.h"
-#include "util/math.h"
+#include <memory>
 
 namespace horam::oram {
 
 namespace {
 
-/// Smallest power-of-two leaf count following the ≤50%-utilisation
-/// convention over the ring's Z real slots per bucket (spares never
-/// hold blocks, so they don't enter the capacity count). Computed by
-/// doubling so the result is a power of two for every legal Z.
-std::uint64_t backend_leaf_count(std::uint64_t block_count,
-                                 std::uint32_t real_slots) {
-  std::uint64_t leaves = 1;
-  // capacity + Z = 2 * leaves * Z; stop once that reaches 2N.
-  while (2 * leaves * real_slots < 2 * block_count) {
-    leaves *= 2;
-  }
-  return leaves;
+std::unique_ptr<ring_oram> make_tree(const horam_config& config,
+                                     sim::block_device& device,
+                                     const sim::cpu_model& cpu,
+                                     util::random_source& rng,
+                                     access_trace* trace) {
+  config.validate();
+  ring_oram_config tree_config;
+  tree_config.leaf_count =
+      tree_leaf_count(config.block_count, config.ring_bucket_size);
+  tree_config.real_slots = config.ring_bucket_size;
+  tree_config.spare_slots = config.ring_spare_slots;
+  tree_config.eviction_rate = config.ring_eviction_rate;
+  tree_config.payload_bytes = config.payload_bytes;
+  tree_config.logical_block_bytes = config.logical_block_bytes;
+  tree_config.id_universe = config.block_count;
+  tree_config.seal = config.seal;
+  tree_config.key_seed = config.key_seed ^ 0x5269;  // "Ri"
+  tree_config.xor_reads = config.ring_xor;
+  return std::make_unique<ring_oram>(tree_config, device, cpu, rng, trace);
 }
 
 }  // namespace
@@ -33,269 +35,24 @@ ring_backend::ring_backend(
     access_trace* trace,
     const std::function<void(block_id, std::span<std::uint8_t>)>* filler,
     sim::block_device* map_device)
-    : config_(config), cpu_(cpu), rng_(rng), trace_(trace) {
-  config_.validate();
-
-  ring_oram_config tree_config;
-  tree_config.leaf_count =
-      backend_leaf_count(config_.block_count, config_.ring_bucket_size);
-  tree_config.real_slots = config_.ring_bucket_size;
-  tree_config.spare_slots = config_.ring_spare_slots;
-  tree_config.eviction_rate = config_.ring_eviction_rate;
-  tree_config.payload_bytes = config_.payload_bytes;
-  tree_config.logical_block_bytes = config_.logical_block_bytes;
-  tree_config.id_universe = config_.block_count;
-  tree_config.seal = config_.seal;
-  tree_config.key_seed = config_.key_seed ^ 0x5269;  // "Ri"
-  tree_config.xor_reads = config_.ring_xor;
-  tree_ = std::make_unique<ring_oram>(tree_config, device, cpu_, rng_,
-                                      trace_);
-  expects(tree_->capacity_blocks() >= config_.block_count,
-          "ring backend tree cannot hold the dataset");
-
-  const std::function<void(block_id, std::span<std::uint8_t>)> zero_fill =
-      [](block_id, std::span<std::uint8_t>) {};
-  std::vector<leaf_id> leaves;
-  tree_->initialize_full(config_.block_count,
-                         filler != nullptr ? *filler : zero_fill, &leaves);
-
-  recursive_map_config map_config;
-  map_config.universe = config_.block_count;
-  map_config.entries_per_block = config_.map_entries_per_block;
-  map_config.direct_threshold = config_.map_direct_threshold;
-  map_config.bucket_size = config_.bucket_size;
-  map_config.seal = config_.seal;
-  map_config.key_seed = config_.key_seed ^ 0x526a;
-  map_ = std::make_unique<recursive_position_map>(
-      map_config, map_device != nullptr ? *map_device : device, cpu_, rng_,
-      trace_, leaves);
-
-  cached_.assign(config_.block_count, 0);
-  payload_scratch_.resize(config_.payload_bytes);
-  device.reset_stats();
-  if (map_device != nullptr) {
-    map_device->reset_stats();
-  }
-}
-
-bool ring_backend::in_storage(block_id id) const {
-  expects(id < config_.block_count, "block id out of range");
-  return cached_[id] == 0;
-}
-
-oram_backend::load_result ring_backend::load_block(block_id id) {
-  expects(in_storage(id), "block is not on storage");
-  load_result result;
-  ++stats_.real_loads;
-
-  // Walk the recursive map for the leaf, then verify it against the
-  // tree's own bookkeeping: the two must agree at every load.
-  std::optional<leaf_id> mapped;
-  result.cost += map_->lookup(id, mapped);
-  invariant(mapped.has_value(), "map lost a storage-resident block");
-  invariant(*mapped == tree_->leaf_of(id),
-            "recursive map disagrees with the tree's position map");
-
-  result.cost += tree_->extract(id, payload_scratch_);
-  result.id = id;
-  result.payload.assign(payload_scratch_.begin(), payload_scratch_.end());
-  cached_[id] = 1;
-  ++cached_count_;
-  return result;
-}
-
-oram_backend::load_result ring_backend::dummy_load() {
-  load_result result;
-  ++stats_.dummy_loads;
-
-  // Cover traffic with the same bus shape as a real load: one map walk
-  // (of a uniformly random id, value discarded) + one dummy ring
-  // access (one unread dummy slot per bucket of a random path).
-  std::optional<leaf_id> ignored;
-  result.cost +=
-      map_->lookup(util::uniform_below(rng_, config_.block_count), ignored);
-  result.cost += tree_->dummy_access();
-  return result;
-}
-
-/// Incremental shuffle over the Ring ORAM layout: slice units are
-/// single stash re-installs, then single forced deterministic
-/// evictions (the scheme's own write path). Run back to back the units
-/// reproduce the monolithic period exactly; bounded budgets stop
-/// between any two units.
-class ring_shuffle_job final : public horam::shuffle_job {
- public:
-  ring_shuffle_job(ring_backend& owner, std::vector<evicted_block> evicted,
-                   std::uint64_t period_index)
-      : owner_(owner), evicted_(std::move(evicted)) {
-    trace(owner_.trace_, event_kind::shuffle_begin, period_index);
-    for (std::size_t i = 0; i < evicted_.size(); ++i) {
-      expects(evicted_[i].id < owner_.config_.block_count,
-              "evicted id out of range");
-      staged_.emplace(evicted_[i].id, i);
-    }
-    // Eviction burst length: a function of the (public) eviction size
-    // only — every forced eviction absorbs up to Z stash blocks at the
-    // root alone — with a bounded conditional tail so a stubborn stash
-    // still drains; whatever remains stays sheltered in the stash.
-    const std::uint64_t z = owner_.config_.ring_bucket_size;
-    drain_budget_ = owner_.tree_->level_count() +
-                    2 * util::ceil_div(evicted_.size(), z);
-    drain_floor_ = 2 * z;
-    extra_ = 4 * drain_budget_ + 64;
-    owner_.last_drain_evictions_ = 0;
-  }
-
-  horam::shuffle_cost step(sim::sim_time device_budget) override {
-    expects(!done(), "shuffle_job::step() after done()");
-    horam::shuffle_cost slice;
-    while (!done()) {
-      if (next_install_ < evicted_.size()) {
-        install_one(slice);
-      } else if (drains_done_ < drain_budget_) {
-        ++drains_done_;
-        drain_once(slice);
-      } else if (owner_.tree_->stash_ref().size() > drain_floor_ &&
-                 extra_ > 0) {
-        --extra_;
-        drain_once(slice);
-      }
-      if (device_budget > 0 && slice.total() >= device_budget) {
-        break;
-      }
-    }
-    return slice;
-  }
-
-  [[nodiscard]] bool done() const noexcept override {
-    return next_install_ >= evicted_.size() &&
-           drains_done_ >= drain_budget_ &&
-           (owner_.tree_->stash_ref().size() <= drain_floor_ ||
-            extra_ == 0);
-  }
-
-  [[nodiscard]] bool holds(block_id id) const override {
-    return staged_.contains(id);
-  }
-
-  [[nodiscard]] std::vector<std::uint8_t>* staged(block_id id) override {
-    const auto it = staged_.find(id);
-    return it == staged_.end() ? nullptr : &evicted_[it->second].payload;
-  }
-
-  void finish(std::vector<evicted_block>& overflow_out) override {
-    static_cast<void>(overflow_out);  // the stash shelters; no overflow
-    expects(done(), "shuffle_job::finish() before done()");
-    expects(!finished_, "shuffle_job::finish() called twice");
-    ++owner_.stats_.partitions_shuffled;  // the one tree counts as one
-    finished_ = true;
-  }
-
- private:
-  /// Folds the next hot block back in: fresh uniform leaf, recorded in
-  /// the recursive map and handed to the tree's stash.
-  void install_one(horam::shuffle_cost& cost) {
-    evicted_block& block = evicted_[next_install_++];
-    invariant(owner_.cached_[block.id] != 0,
-              "evicted block the bitmap says is on storage");
-    const leaf_id leaf =
-        util::uniform_below(owner_.rng_, owner_.tree_->config().leaf_count);
-    const cost_split assign_cost = owner_.map_->assign(block.id, leaf);
-    const cost_split install_cost =
-        owner_.tree_->install(block.id, block.payload, leaf);
-    cost.memory += assign_cost.memory + install_cost.memory;
-    cost.cpu += assign_cost.cpu + install_cost.cpu;
-    owner_.cached_[block.id] = 0;
-    --owner_.cached_count_;
-    staged_.erase(block.id);
-  }
-
-  void drain_once(horam::shuffle_cost& cost) {
-    const cost_split evict_cost = owner_.tree_->force_evict();
-    cost.io_read += evict_cost.io / 2;
-    cost.io_write += evict_cost.io - evict_cost.io / 2;
-    cost.memory += evict_cost.memory;
-    cost.cpu += evict_cost.cpu;
-    ++owner_.last_drain_evictions_;
-  }
-
-  ring_backend& owner_;
-  std::vector<evicted_block> evicted_;
-  std::unordered_map<block_id, std::size_t> staged_;
-  std::size_t next_install_ = 0;
-  std::uint64_t drain_budget_ = 0;
-  std::uint64_t drain_floor_ = 0;
-  std::uint64_t drains_done_ = 0;
-  std::uint64_t extra_ = 0;
-  bool finished_ = false;
-};
-
-std::unique_ptr<horam::shuffle_job> ring_backend::begin_shuffle(
-    std::vector<evicted_block> evicted, std::uint64_t period_index) {
-  return std::make_unique<ring_shuffle_job>(*this, std::move(evicted),
-                                            period_index);
-}
-
-horam::shuffle_cost ring_backend::shuffle_period(
-    std::vector<evicted_block> evicted, std::uint64_t period_index,
-    std::vector<evicted_block>& overflow_out) {
-  std::unique_ptr<horam::shuffle_job> job =
-      begin_shuffle(std::move(evicted), period_index);
-  horam::shuffle_cost cost;
-  while (!job->done()) {
-    cost += job->step(0);
-  }
-  job->finish(overflow_out);
-  return cost;
-}
+    : tree_backend(config, make_tree(config, device, cpu, rng, trace),
+                   config.ring_bucket_size, config.key_seed ^ 0x526a, device, map_device, cpu, rng,
+                   trace, filler) {}
 
 std::uint64_t ring_backend::physical_bytes() const {
   const std::uint64_t logical = config_.logical_block_bytes != 0
                                     ? config_.logical_block_bytes
-                                    : tree_->record_bytes();
-  return tree_->total_slots() * logical + map_->oram_bytes();
+                                    : tree().record_bytes();
+  return tree().total_slots() * logical + map().oram_bytes();
 }
 
 std::uint64_t ring_backend::control_memory_bytes() const {
   // Trusted state: the map residue, the stash, the residency bitmap,
   // and the per-slot permutation metadata + per-bucket counters.
-  return map_->trusted_bytes() +
-         tree_->stash_ref().size() *
-             (config_.payload_bytes + sizeof(stash_entry)) +
-         cached_.size() + tree_->total_slots() * (sizeof(block_id) + 1) +
-         tree_->bucket_count() * (sizeof(std::uint32_t) +
+  return shared_trusted_bytes() +
+         tree().total_slots() * (sizeof(block_id) + 1) +
+         tree().bucket_count() * (sizeof(std::uint32_t) +
                                   sizeof(std::uint64_t));
-}
-
-void ring_backend::check_consistency() const {
-  tree_->check_consistency();
-
-  invariant(cached_count_ <= config_.block_count, "cached counter overran");
-  std::uint64_t cached_blocks = 0;
-  for (block_id id = 0; id < config_.block_count; ++id) {
-    const bool cached = cached_[id] != 0;
-    invariant(cached != tree_->contains(id),
-              "residency bitmap disagrees with the tree");
-    cached_blocks += cached ? 1 : 0;
-  }
-  invariant(cached_blocks == cached_count_,
-            "cached counter out of sync with the bitmap");
-  invariant(tree_->resident_blocks() ==
-                config_.block_count - cached_count_,
-            "tree resident count disagrees with the bitmap");
-
-  // Every storage-resident block's map entry matches the tree's leaf
-  // (cached blocks may carry stale entries until re-install).
-  map_->for_each_assigned([&](block_id id, leaf_id leaf) {
-    invariant(id < config_.block_count, "map entry outside the universe");
-    if (cached_[id] != 0) {
-      return;
-    }
-    invariant(tree_->contains(id),
-              "map names a block the tree does not hold");
-    invariant(leaf == tree_->leaf_of(id),
-              "recursive map disagrees with the tree's position map");
-  });
 }
 
 }  // namespace horam::oram

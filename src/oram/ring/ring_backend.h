@@ -8,10 +8,11 @@
 // per-slot permutation metadata, and a recursive position map
 // (recursive_position_map) whose ORAM chain lives on a separate memory
 // device. Fronted by the H-ORAM controller:
-//   * a real miss walks the recursive map for the block's leaf, then
-//     extracts it with ONE slot read per path bucket — a single
-//     XOR-combined transfer under ring_xor — the live copy moving to
-//     the controller's tree;
+//   * a real miss walks the recursive map for the block's leaf and, in
+//     the same per-level read-modify-write, records its next leaf
+//     F_k(id, epoch); then it extracts the block with ONE slot read per
+//     path bucket — a single XOR-combined transfer under ring_xor — the
+//     live copy moving to the controller's tree;
 //   * a dummy load performs a dummy map walk plus a dummy ring access
 //     (one unread dummy slot per bucket of a random path), so real and
 //     dummy loads are indistinguishable on both lanes;
@@ -19,9 +20,17 @@
 //     online reads the tree evicts one reverse-lexicographic path, and
 //     buckets whose spare slots run low reshuffle early — both range
 //     operations on public schedules. The shuffle period re-installs
-//     evicted blocks into the stash (fresh uniform leaf, recorded in
-//     the map) and drains with forced deterministic evictions; blocks
-//     the drain cannot place stay sheltered in the stash.
+//     evicted blocks into the stash at the leaf their load recorded
+//     (recomputed from the PRF: no map access) and drains with
+//     forced deterministic evictions (level_count + ⌈E/Z⌉ of them, where
+//     E is the number of evicted blocks); blocks the drain
+//     cannot place stay sheltered in the stash.
+//
+// F_k is SipHash-2-4 under a per-shard key (oram/common/leaf_prf.h);
+// like sealing, its secrecy is computational. Load, dummy load, the
+// shuffle job and the audit are shared with path_backend through
+// tree_backend (oram/common/tree_backend.h), which also explains why the
+// drain budget depends on the public eviction size only.
 //
 // The adapter keeps the recursive map authoritative at the interface:
 // every load first walks the map and verifies the answer against the
@@ -32,14 +41,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
-#include <vector>
 
 #include "core/config.h"
-#include "core/oram_backend.h"
 #include "oram/common/access_trace.h"
-#include "oram/path/recursive_position_map.h"
+#include "oram/common/tree_backend.h"
 #include "oram/ring/ring_oram.h"
 #include "sim/cpu_model.h"
 #include "sim/device.h"
@@ -47,7 +53,7 @@
 
 namespace horam::oram {
 
-class ring_backend final : public horam::oram_backend {
+class ring_backend final : public tree_backend<ring_oram> {
  public:
   /// Builds the tree holding every block in [0, config.block_count);
   /// `filler` provides initial payloads (null = zero-filled). The
@@ -64,58 +70,8 @@ class ring_backend final : public horam::oram_backend {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "ring";
   }
-  [[nodiscard]] bool in_storage(block_id id) const override;
-  load_result load_block(block_id id) override;
-  load_result dummy_load() override;
-  /// Implemented as begin_shuffle() driven to completion in one
-  /// unbounded step, so the monolithic and incremental entry points
-  /// are interchangeable by construction.
-  horam::shuffle_cost shuffle_period(
-      std::vector<evicted_block> evicted, std::uint64_t period_index,
-      std::vector<evicted_block>& overflow_out) override;
-
-  /// Native incremental shuffle: the slice units are single stash
-  /// re-installs (fresh uniform leaf + map assign) followed by single
-  /// forced deterministic evictions, so the deamortized pipeline can
-  /// stop after any unit. Nothing is ever handed back — the stash is
-  /// the scheme's trusted holding area.
-  [[nodiscard]] std::unique_ptr<horam::shuffle_job> begin_shuffle(
-      std::vector<evicted_block> evicted,
-      std::uint64_t period_index) override;
-  [[nodiscard]] const horam::backend_stats& stats() const noexcept override {
-    return stats_;
-  }
   [[nodiscard]] std::uint64_t physical_bytes() const override;
   [[nodiscard]] std::uint64_t control_memory_bytes() const override;
-  void check_consistency() const override;
-
-  [[nodiscard]] const ring_oram& tree() const noexcept { return *tree_; }
-  [[nodiscard]] const recursive_position_map& map() const noexcept {
-    return *map_;
-  }
-  /// Forced evictions issued by the last shuffle period's stash drain.
-  [[nodiscard]] std::uint64_t last_drain_evictions() const noexcept {
-    return last_drain_evictions_;
-  }
-
- private:
-  friend class ring_shuffle_job;
-
-  horam_config config_;
-  const sim::cpu_model& cpu_;
-  util::random_source& rng_;
-  access_trace* trace_;
-
-  std::unique_ptr<ring_oram> tree_;
-  std::unique_ptr<recursive_position_map> map_;
-
-  /// cached_[id] != 0 iff the live copy moved to the controller's cache.
-  std::vector<std::uint8_t> cached_;
-  std::uint64_t cached_count_ = 0;
-  std::uint64_t last_drain_evictions_ = 0;
-
-  horam::backend_stats stats_;
-  std::vector<std::uint8_t> payload_scratch_;
 };
 
 }  // namespace horam::oram

@@ -82,14 +82,7 @@ bool ring_oram::paths_share_bucket(leaf_id a, leaf_id b,
 }
 
 leaf_id ring_oram::reverse_lex_leaf(std::uint64_t counter) const {
-  const std::uint32_t bits = level_count_ - 1;
-  std::uint64_t g = counter & (config_.leaf_count - 1);
-  leaf_id leaf = 0;
-  for (std::uint32_t i = 0; i < bits; ++i) {
-    leaf = (leaf << 1) | (g & 1);
-    g >>= 1;
-  }
-  return leaf;
+  return util::reverse_bits(counter, level_count_ - 1);
 }
 
 void ring_oram::fill_pad(std::uint64_t slot, std::uint64_t epoch,

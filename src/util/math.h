@@ -44,6 +44,19 @@ constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {
   return (a + b - 1) / b;
 }
 
+/// The low `bits` bits of v in reverse order (bit 0 becomes bit
+/// bits-1). Walking a counter through it visits the 2^bits leaves of a
+/// tree in reverse-lexicographic order, the eviction order that spreads
+/// consecutive paths as far apart as possible (Ring ORAM's schedule).
+constexpr std::uint64_t reverse_bits(std::uint64_t v, unsigned bits) noexcept {
+  std::uint64_t out = 0;
+  for (unsigned i = 0; i < bits; ++i) {
+    out = (out << 1) | (v & 1);
+    v >>= 1;
+  }
+  return out;
+}
+
 /// floor(sqrt(v)) computed with integer Newton iteration (exact).
 constexpr std::uint64_t isqrt(std::uint64_t v) noexcept {
   if (v < 2) {

@@ -261,6 +261,34 @@ TEST_P(EngineSealKeys, NoTwoCodecsShareSealKeys) {
       << keys.size() - distinct.size() << " codecs reuse another's keys";
 }
 
+/// The tree backends' next-leaf PRF is keyed per shard under its own
+/// derivation label: two shards sharing a key would place a block id's
+/// leaves identically in both, so no two shards may share one.
+class EngineLeafKeys : public ::testing::TestWithParam<backend_kind> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    TreeBackends, EngineLeafKeys,
+    ::testing::Values(backend_kind::path, backend_kind::ring),
+    [](const ::testing::TestParamInfo<backend_kind>& info) {
+      return std::string(backend_name(info.param));
+    });
+
+TEST_P(EngineLeafKeys, NoTwoShardsShareLeafPrfKeys) {
+  client oram = engine_builder(4).backend(GetParam()).seal(true).build();
+  std::set<std::uint64_t> keys;
+  for (std::uint32_t s = 0; s < oram.eng().shard_count(); ++s) {
+    const oram_backend& backend = oram.eng().shard(s).backend();
+    if (const auto* path = dynamic_cast<const oram::path_backend*>(&backend)) {
+      keys.insert(path->next_leaf().key_fingerprint());
+    } else if (const auto* ring =
+                   dynamic_cast<const oram::ring_backend*>(&backend)) {
+      keys.insert(ring->next_leaf().key_fingerprint());
+    }
+  }
+  EXPECT_EQ(keys.size(), oram.eng().shard_count())
+      << "two shards derive the same leaf-PRF key";
+}
+
 /// Differential replay against a std::map oracle: payload correctness
 /// must survive routing, padding and per-shard shuffle periods.
 TEST_P(EngineConformance, ShadowMapReplay) {

@@ -112,23 +112,44 @@ TEST(RecursiveMap, LookupPaysOneRoundTripPerLevel) {
   EXPECT_EQ(fx.memory.stats().round_trips, map.level_count());
 }
 
-TEST(RecursiveMap, AssignLookupRemoveRoundTrip) {
+TEST(RecursiveMap, ExchangeReturnsOldLeafAndStoresNext) {
   fixture fx;
   recursive_position_map map(fx.config(4096, 16, 32), fx.memory, fx.cpu,
                              fx.rng, nullptr);
   std::optional<leaf_id> out;
   map.lookup(100, out);
   EXPECT_FALSE(out.has_value());
-  map.assign(100, 42);
+  std::optional<leaf_id> previous;
+  map.exchange(100, 42, previous);
+  EXPECT_FALSE(previous.has_value());
   map.lookup(100, out);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, 42u);
-  map.assign(100, 7);
+  map.exchange(100, 7, previous);
+  ASSERT_TRUE(previous.has_value());
+  EXPECT_EQ(*previous, 42u);
   map.lookup(100, out);
   EXPECT_EQ(*out, 7u);
-  map.remove(100);
-  map.lookup(100, out);
-  EXPECT_FALSE(out.has_value());
+}
+
+// A remap on load must look like a lookup: the same accesses, device
+// time and round trips, so real and dummy loads share one bus shape.
+TEST(RecursiveMap, ExchangeCostsExactlyALookup) {
+  fixture fx;
+  recursive_position_map map(fx.config(65536, 16, 64), fx.memory, fx.cpu,
+                             fx.rng, nullptr);
+  ASSERT_EQ(map.level_count(), 3u);
+  std::optional<leaf_id> out;
+  fx.memory.reset_stats();
+  const cost_split lookup_cost = map.lookup(9, out);
+  const sim::io_stats lookup_io = fx.memory.stats();
+  fx.memory.reset_stats();
+  const cost_split exchange_cost = map.exchange(9, 5, out);
+  const sim::io_stats exchange_io = fx.memory.stats();
+  EXPECT_EQ(exchange_cost.total(), lookup_cost.total());
+  EXPECT_EQ(exchange_io.read_ops, lookup_io.read_ops);
+  EXPECT_EQ(exchange_io.write_ops, lookup_io.write_ops);
+  EXPECT_EQ(exchange_io.round_trips, lookup_io.round_trips);
 }
 
 TEST(RecursiveMap, PackedNeighboursDoNotInterfere) {
@@ -136,8 +157,9 @@ TEST(RecursiveMap, PackedNeighboursDoNotInterfere) {
   recursive_position_map map(fx.config(4096, 16, 32), fx.memory, fx.cpu,
                              fx.rng, nullptr);
   // Ids 32..47 share one packed level-0 block.
+  std::optional<leaf_id> previous;
   for (block_id id = 32; id < 48; ++id) {
-    map.assign(id, id * 10);
+    map.exchange(id, id * 10, previous);
   }
   for (block_id id = 32; id < 48; ++id) {
     std::optional<leaf_id> out;
@@ -153,25 +175,27 @@ TEST(RecursiveMap, DifferentialAgainstStdMap) {
                              fx.rng, nullptr);
   std::map<block_id, leaf_id> shadow;
   util::pcg64 driver(312);
+  const auto expect_shadow = [&](block_id id,
+                                 const std::optional<leaf_id>& out,
+                                 int step) {
+    if (shadow.contains(id)) {
+      ASSERT_TRUE(out.has_value()) << "step " << step;
+      ASSERT_EQ(*out, shadow[id]) << "step " << step;
+    } else {
+      ASSERT_FALSE(out.has_value()) << "step " << step;
+    }
+  };
   for (int step = 0; step < 500; ++step) {
     const block_id id = util::uniform_below(driver, 2048);
-    const int action = static_cast<int>(util::uniform_below(driver, 3));
-    if (action == 0) {
+    std::optional<leaf_id> out;
+    if (util::bernoulli(driver, 0.5)) {
       const leaf_id leaf = util::uniform_below(driver, 1 << 20);
-      map.assign(id, leaf);
+      map.exchange(id, leaf, out);
+      expect_shadow(id, out, step);
       shadow[id] = leaf;
-    } else if (action == 1) {
-      map.remove(id);
-      shadow.erase(id);
     } else {
-      std::optional<leaf_id> out;
       map.lookup(id, out);
-      if (shadow.contains(id)) {
-        ASSERT_TRUE(out.has_value()) << "step " << step;
-        ASSERT_EQ(*out, shadow[id]) << "step " << step;
-      } else {
-        ASSERT_FALSE(out.has_value()) << "step " << step;
-      }
+      expect_shadow(id, out, step);
     }
   }
 }
@@ -210,8 +234,9 @@ TEST_P(RecursiveMapSweep, RoundTripAcrossPackings) {
   fixture fx;
   recursive_position_map map(fx.config(1024, epb, 8), fx.memory, fx.cpu,
                              fx.rng, nullptr);
+  std::optional<leaf_id> previous;
   for (block_id id = 0; id < 64; ++id) {
-    map.assign(id, id + 1000);
+    map.exchange(id, id + 1000, previous);
   }
   for (block_id id = 0; id < 64; ++id) {
     std::optional<leaf_id> out;

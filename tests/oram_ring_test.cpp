@@ -398,7 +398,7 @@ TEST(RingBackendDetail, ShuffleDrainReturnsStashToConstantSize) {
   std::vector<evicted_block> overflow;
   (void)backend.shuffle_period(std::move(evicted), 0, overflow);
   EXPECT_TRUE(overflow.empty());
-  EXPECT_GT(backend.last_drain_evictions(), 0u);
+  EXPECT_GT(backend.last_drain().accesses, 0u);
   EXPECT_LE(backend.tree().stash_ref().size(),
             2u * fx.config().ring_bucket_size);
   ASSERT_NO_THROW(backend.check_consistency());

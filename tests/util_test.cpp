@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "util/contracts.h"
 #include "util/fenwick.h"
@@ -50,6 +51,21 @@ TEST(Math, NextPow2) {
   EXPECT_EQ(next_pow2(2), 2u);
   EXPECT_EQ(next_pow2(3), 4u);
   EXPECT_EQ(next_pow2(1000), 1024u);
+}
+
+// A counter walked through reverse_bits visits every leaf once per
+// round, consecutive leaves in opposite halves of the tree.
+TEST(Math, ReverseBitsWalksLeavesInReverseLexOrder) {
+  EXPECT_EQ(reverse_bits(0b001, 3), 0b100u);
+  EXPECT_EQ(reverse_bits(0b110, 3), 0b011u);
+  EXPECT_EQ(reverse_bits(0b1001, 3), 0b100u);  // bits above `bits` drop
+  EXPECT_EQ(reverse_bits(5, 0), 0u);
+  std::vector<std::uint64_t> round;
+  for (std::uint64_t counter = 0; counter < 8; ++counter) {
+    round.push_back(reverse_bits(counter, 3));
+  }
+  EXPECT_EQ(round,
+            (std::vector<std::uint64_t>{0, 4, 2, 6, 1, 5, 3, 7}));
 }
 
 TEST(Math, CeilDiv) {

@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
-"""CI gate for bench regressions: device ops per request vs baselines.
+"""CI gate for bench regressions: per-request costs vs baselines.
 
 Compares freshly produced BENCH_*.json documents (the bench-smoke job's
 ``--small`` runs) against the committed baselines in bench/baselines/.
-The gated metric is storage-device operations per logical request,
-computed uniformly from the fields every bench emits via json_fields():
+The gated metrics, computed uniformly from the fields every bench
+emits via json_fields():
 
     (device_read_ops + device_write_ops) / requests
+    total_time_ns / requests       (virtual time per request)
+    latency_p99_ns                 (virtual request-latency tail)
 
 and, where a run emits it, the online ``round_trips_per_request``
 field (dependency-aware storage exchanges per request) under the same
 tolerance band — a backend quietly growing an extra dependent hop per
 request is exactly the regression the hier backend exists to avoid.
+The two virtual-time metrics catch a change that keeps the operation
+count but makes each operation, or the shuffle burst behind the tail,
+slower on the simulated clock.
 
 The simulator is deterministic, so the committed numbers are exactly
 reproducible on any host; the tolerance band exists to absorb benign
@@ -60,7 +65,7 @@ IDENTITY_KEYS = {
         "backend",
         "shards",
         "policy",
-        "slice_budget_ns",
+        "slice_rung",
     ),
     "ablation_round_trips": ("storage_profile", "backend"),
 }
@@ -94,11 +99,28 @@ def round_trips_per_request(run):
     return float(value)
 
 
+def virtual_ns_per_request(run):
+    requests = run.get("requests", 0)
+    total = run.get("total_time_ns")
+    if total is None or not requests:
+        return None
+    return total / requests
+
+
+def latency_p99_ns(run):
+    value = run.get("latency_p99_ns")
+    if value is None or not run.get("requests", 0):
+        return None
+    return float(value)
+
+
 # Gated metrics: (label, extractor). An extractor returning None for
 # either side of a row skips that metric for that row.
 METRICS = (
     ("device ops/request", ops_per_request),
     ("round trips/request", round_trips_per_request),
+    ("virtual ns/request", virtual_ns_per_request),
+    ("virtual p99 latency ns", latency_p99_ns),
 )
 
 
