@@ -19,11 +19,14 @@
 //      design, §4.1, but never the *distribution* of touched
 //      positions).
 //
-// Thresholds are conservative (false-positive probability ~1e-9 per
-// check) so randomized CI runs stay deterministic-stable; a scheme
-// that leaks its access pattern overshoots them by orders of
-// magnitude. Every test is reproducible from the logged
-// HORAM_TEST_SEED (tests/test_support.h).
+// Thresholds are fixed, so randomized CI runs stay deterministic-stable,
+// and a scheme that leaks its access pattern overshoots them by orders
+// of magnitude. Their false-positive rates per check differ: about
+// 7e-10 for the KS tests (c = 3.3), but for the chi-square tests
+// (k + 6·sqrt(2k), pattern_audit.h) 5.1e-4 at 3 degrees of freedom,
+// 1.2e-4 at 7 and 2.7e-5 at 15 — a fixed-seed test can fail by chance
+// on one seed in a few thousand. Every test is reproducible from the
+// logged HORAM_TEST_SEED (tests/test_support.h).
 #ifndef HORAM_ANALYSIS_OBLIVIOUSNESS_H
 #define HORAM_ANALYSIS_OBLIVIOUSNESS_H
 

@@ -1,9 +1,12 @@
 #include "analysis/pattern_audit.h"
 
 #include <cmath>
+#include <map>
 #include <optional>
+#include <set>
 
 #include "util/contracts.h"
+#include "util/math.h"
 
 namespace horam::analysis {
 
@@ -53,10 +56,68 @@ audit_report audit_trace(const oram::access_trace& trace,
 
   std::optional<std::uint64_t> pending_partition_check;
 
+  // The current run of announced paths (memory_path_access events of
+  // one tree, b = its leaf count) and the bucket events that follow it.
+  std::vector<std::uint64_t> run_leaves;
+  std::uint64_t run_leaf_count = 0;
+  std::map<std::uint64_t, std::uint64_t> run_reads;
+  std::map<std::uint64_t, std::uint64_t> run_writes;
+
   const auto note = [&](std::string text) {
     if (report.violations.size() < 32) {  // cap the noise
       report.violations.push_back(std::move(text));
     }
+  };
+
+  const auto finalize_run = [&] {
+    const std::string where =
+        in_cycle ? "cycle " + std::to_string(cycle_index) + ": "
+                 : std::string("outside a cycle: ");
+    const std::uint64_t leaves =
+        run_leaf_count != 0 ? run_leaf_count : config.leaf_count;
+    if (run_leaves.empty() && !(run_reads.empty() && run_writes.empty())) {
+      note(where + "memory bucket events without an announced path");
+    } else if (!run_reads.empty() || !run_writes.empty()) {
+      if (!util::is_pow2(leaves)) {
+        note(where + "memory bucket events of a tree with no leaf count");
+      } else {
+        const auto levels =
+            static_cast<std::uint32_t>(util::floor_log2(leaves) + 1);
+        std::set<std::uint64_t> expected;
+        for (const std::uint64_t leaf : run_leaves) {
+          for (std::uint32_t level = 0; level < levels; ++level) {
+            expected.insert(((std::uint64_t{1} << level) - 1) +
+                            (leaf >> (levels - 1 - level)));
+          }
+        }
+        const auto check = [&](const std::map<std::uint64_t,
+                                              std::uint64_t>& seen,
+                               const char* verb) {
+          for (const auto& [bucket, count] : seen) {
+            if (count != 1) {
+              note(where + "bucket " + std::to_string(bucket) + " " + verb +
+                   " " + std::to_string(count) + " times in one group");
+            }
+            if (!expected.contains(bucket)) {
+              note(where + "bucket " + std::to_string(bucket) + " " + verb +
+                   " off the announced paths");
+            }
+          }
+          for (const std::uint64_t bucket : expected) {
+            if (!seen.contains(bucket)) {
+              note(where + "bucket " + std::to_string(bucket) +
+                   " of the announced paths not " + verb);
+            }
+          }
+        };
+        check(run_reads, "read");
+        check(run_writes, "written");
+      }
+    }
+    run_leaves.clear();
+    run_leaf_count = 0;
+    run_reads.clear();
+    run_writes.clear();
   };
 
   const auto finalize_cycle = [&] {
@@ -92,6 +153,7 @@ audit_report audit_trace(const oram::access_trace& trace,
   for (const oram::trace_event& event : trace.events()) {
     switch (event.kind) {
       case oram::event_kind::cycle_begin:
+        finalize_run();
         finalize_cycle();
         in_cycle = true;
         cycle_index = event.a;
@@ -147,6 +209,14 @@ audit_report audit_trace(const oram::access_trace& trace,
         break;  // shuffle-phase streaming; arming unaffected
 
       case oram::event_kind::memory_path_access:
+        // A new run starts once the current one has bucket events or
+        // the announcement is another tree's.
+        if (!run_reads.empty() || !run_writes.empty() ||
+            (!run_leaves.empty() && event.b != run_leaf_count)) {
+          finalize_run();
+        }
+        run_leaves.push_back(event.a);
+        run_leaf_count = event.b;
         if (config.leaf_count > 0 && event.a < config.leaf_count) {
           ++leaf_counts[event.a];
         }
@@ -157,29 +227,36 @@ audit_report audit_trace(const oram::access_trace& trace,
         break;
 
       case oram::event_kind::memory_bucket_read:
+        ++run_reads[event.a];
+        break;
       case oram::event_kind::memory_bucket_write:
-        break;  // bucket-level detail of the path events
+        ++run_writes[event.a];
+        break;
 
       case oram::event_kind::shuffle_partition:
         pending_partition_check = event.a;
         break;
 
       case oram::event_kind::shuffle_begin:
+        finalize_run();
         finalize_cycle();
         ++report.shuffles;
         break;
 
       case oram::event_kind::period_begin:
+        finalize_run();
         finalize_cycle();
         break;
 
       case oram::event_kind::shuffle_slice:
         // Incremental shuffle work rides between rounds; the cycle's
         // own I/O is complete once a slice starts.
+        finalize_run();
         finalize_cycle();
         break;
     }
   }
+  finalize_run();
   finalize_cycle();
 
   // Leaf uniformity, when there are enough samples for the test.

@@ -14,6 +14,11 @@
 //      uniformly (chi-square test).
 //   4. Shuffle coverage — every due partition's shuffle writes its full
 //      main region.
+//   5. Union access — each run of announced paths (a cycle's cache-tree
+//      group, or one map-level access) reads exactly the buckets of
+//      the union of those paths, each once, and writes each once. The
+//      check applies where the trace records bucket detail, i.e. to
+//      fully in-memory trees.
 #ifndef HORAM_ANALYSIS_PATTERN_AUDIT_H
 #define HORAM_ANALYSIS_PATTERN_AUDIT_H
 
@@ -59,8 +64,13 @@ audit_report audit_trace(const oram::access_trace& trace,
 /// Chi-square statistic of `counts` against the uniform distribution.
 double chi_square_uniform(const std::vector<std::uint64_t>& counts);
 
-/// Conservative acceptance threshold for a chi-square statistic with
-/// `dof` degrees of freedom (mean + 6 sigma).
+/// Acceptance threshold for a chi-square statistic with `dof` degrees
+/// of freedom: mean + 6 sigma, k + 6·sqrt(2k). The chi-square tail is
+/// far heavier than a normal one at few degrees of freedom, so its
+/// false-positive rate is not a six-sigma 1e-9 but 5.1e-4 at k = 3
+/// (a 4-leaf tree), 1.2e-4 at k = 7, 2.7e-5 at k = 15, 5.8e-6 at
+/// k = 31 and 1.3e-6 at k = 63, falling towards 1e-9 only for very
+/// large k.
 double chi_square_threshold(std::uint64_t dof);
 
 }  // namespace horam::analysis

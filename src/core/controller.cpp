@@ -1,7 +1,6 @@
 #include "core/controller.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/contracts.h"
 #include "util/math.h"
@@ -79,80 +78,55 @@ bool controller::resident(oram::block_id id) const {
          (shuffle_job_ != nullptr && shuffle_job_->holds(id));
 }
 
-oram::cost_split controller::service_hit(const request& req,
-                                         request_result* result) {
-  oram::cost_split cost;
-  if (shuffle_job_ != nullptr) {
-    if (std::vector<std::uint8_t>* staged = shuffle_job_->staged(req.id)) {
-      // Block staged in the in-flight shuffle job: serve from trusted
-      // memory, cover with a dummy path access so the bus shape is
-      // unchanged (the shelter pattern); writes go through into the
-      // staged copy so the shuffle places the fresh data.
-      cost += tree_->dummy_access();
-      cost.cpu += cpu_.word_ops_time(8);
-      if (req.op == oram::op_kind::write) {
-        if (req.fetch_before_write && result != nullptr) {
-          result->read_data = *staged;
-          result->read_data.resize(config_.payload_bytes, 0);
-        }
-        staged->assign(req.write_data.begin(), req.write_data.end());
-        staged->resize(config_.payload_bytes, 0);
-      } else if (result != nullptr) {
-        result->read_data = *staged;
-        result->read_data.resize(config_.payload_bytes, 0);
-      }
-      return cost;
+oram::cost_split controller::plan_hit(const request& req,
+                                      request_result* result) {
+  const bool wants_payload =
+      result != nullptr &&
+      (req.op == oram::op_kind::read || req.fetch_before_write);
+
+  // A block staged in the in-flight shuffle job, or sheltered after a
+  // shuffle overflow, is served from trusted memory; a dummy path
+  // access takes its place in the group, so the bus shape is unchanged.
+  // Writes go through into the trusted copy, so the shuffle places the
+  // fresh data.
+  std::vector<std::uint8_t>* trusted =
+      shuffle_job_ != nullptr ? shuffle_job_->staged(req.id) : nullptr;
+  if (trusted == nullptr) {
+    const auto shelter_it = shelter_.find(req.id);
+    if (shelter_it != shelter_.end()) {
+      trusted = &shelter_it->second;
     }
   }
-  const auto shelter_it = shelter_.find(req.id);
-  if (shelter_it != shelter_.end()) {
-    // Shelter-resident block: serve from trusted memory, cover with a
-    // dummy path access so the bus shape is unchanged.
-    cost += tree_->dummy_access();
-    cost.cpu += cpu_.word_ops_time(8);
-    if (req.op == oram::op_kind::write) {
-      if (req.fetch_before_write && result != nullptr) {
-        result->read_data = shelter_it->second;
-        result->read_data.resize(config_.payload_bytes, 0);
-      }
-      shelter_it->second.assign(req.write_data.begin(),
-                                req.write_data.end());
-      shelter_it->second.resize(config_.payload_bytes, 0);
-    } else if (result != nullptr) {
-      result->read_data = shelter_it->second;
+  if (trusted != nullptr) {
+    group_.emplace_back();
+    ++stats_.trusted_hits;
+    if (wants_payload) {
+      result->read_data = *trusted;
       result->read_data.resize(config_.payload_bytes, 0);
     }
+    if (req.op == oram::op_kind::write) {
+      trusted->assign(req.write_data.begin(), req.write_data.end());
+      trusted->resize(config_.payload_bytes, 0);
+    }
+    oram::cost_split cost;
+    cost.cpu += cpu_.word_ops_time(8);
     return cost;
   }
 
+  // A tree hit. A fetch-before-write is one write access that also
+  // hands back the old payload — same bus shape and RNG draws as a
+  // plain write.
+  oram::path_op& op = group_.emplace_back();
+  op.id = req.id;
+  op.op = req.op;
   if (req.op == oram::op_kind::write) {
-    if (req.fetch_before_write && result != nullptr) {
-      // One path access serves both halves: the updater sees the old
-      // payload in the stash, copies it out, then overwrites in place —
-      // same bus shape and same RNG draws as a plain write.
-      expects(req.write_data.size() <= config_.payload_bytes,
-              "write larger than the block payload");
-      cost += tree_->access_rmw(
-          req.id, [&](std::span<std::uint8_t> payload) {
-            result->read_data.assign(payload.begin(), payload.end());
-            std::fill(payload.begin(), payload.end(), 0);
-            if (!req.write_data.empty()) {
-              std::memcpy(payload.data(), req.write_data.data(),
-                          req.write_data.size());
-            }
-          });
-    } else {
-      cost += tree_->access(oram::op_kind::write, req.id, req.write_data,
-                            {});
-    }
-  } else if (result != nullptr) {
-    result->read_data.resize(config_.payload_bytes);
-    cost += tree_->access(oram::op_kind::read, req.id, {},
-                          result->read_data);
-  } else {
-    cost += tree_->access(oram::op_kind::read, req.id, {}, {});
+    op.write_data = req.write_data;
   }
-  return cost;
+  if (wants_payload) {
+    result->read_data.resize(config_.payload_bytes);
+    op.read_out = result->read_data;
+  }
+  return {};
 }
 
 void controller::run(std::span<const request> requests,
@@ -201,18 +175,19 @@ void controller::run(std::span<const request> requests,
       ++stats_.dummy_loads;
     }
 
-    // --- Memory lane: c path accesses (real hits + dummy padding). ---
+    // --- Memory lane: c path accesses (real hits + dummy padding) ---
+    // as one group: one union read, one sealed write-back.
     oram::cost_split memory_cost;
+    group_.clear();
     for (const std::size_t position : plan.hit_positions) {
       const std::uint64_t request_index = rob_.at(position).request_index;
       request_result* result =
           results != nullptr ? &(*results)[request_index] : nullptr;
-      memory_cost += service_hit(requests[request_index], result);
+      memory_cost += plan_hit(requests[request_index], result);
     }
-    for (std::uint32_t k = 0; k < plan.dummy_hits; ++k) {
-      memory_cost += tree_->dummy_access();
-      ++stats_.dummy_path_accesses;
-    }
+    group_.resize(group_.size() + plan.dummy_hits);
+    stats_.dummy_path_accesses += plan.dummy_hits;
+    memory_cost += tree_->access_group(group_);
 
     // The loaded block lands in the tree stash at cycle end.
     oram::cost_split install_cost;

@@ -15,6 +15,16 @@
 // backend shuffle_job whose budget-bounded slices run between access
 // rounds, so the stop-the-world latency cliff disappears from the
 // request tail).
+//
+// A cycle's c path accesses — its tree hits plus dummy padding, with a
+// dummy in the place of each hit served from trusted memory (shelter,
+// staged shuffle blocks) — run as one path_oram::access_group(): one
+// read of the union of the c paths, one sealed write-back, each union
+// bucket read and written once. The group replays the accesses exactly
+// as c single calls would, so only the memory-bucket events, the
+// nonces and the (never larger) memory-lane charge differ from serving
+// them one by one. Its plaintext working set is trusted memory of at
+// most c_max × levels × Z records (c_max = the largest stage c).
 #ifndef HORAM_CORE_CONTROLLER_H
 #define HORAM_CORE_CONTROLLER_H
 
@@ -74,6 +84,9 @@ struct controller_stats {
   std::uint64_t real_loads = 0;
   std::uint64_t dummy_loads = 0;
   std::uint64_t dummy_path_accesses = 0;
+  /// Hits served from trusted memory (shelter or a block staged in the
+  /// in-flight shuffle job), each covered by a dummy path access.
+  std::uint64_t trusted_hits = 0;
   std::uint64_t periods = 0;  // completed shuffle periods
   /// Incremental shuffle slices pumped between access rounds
   /// (shuffle_policy::incremental with a bounded slice budget).
@@ -141,6 +154,7 @@ struct controller_stats {
     real_loads += other.real_loads;
     dummy_loads += other.dummy_loads;
     dummy_path_accesses += other.dummy_path_accesses;
+    trusted_hits += other.trusted_hits;
     periods += other.periods;
     shuffle_slices += other.shuffle_slices;
     access_time += other.access_time;
@@ -259,10 +273,6 @@ class controller {
 
  private:
   [[nodiscard]] bool resident(oram::block_id id) const;
-  /// Executes one scheduler cycle against `requests`; returns the
-  /// number of requests serviced.
-  std::uint64_t run_cycle(std::span<const request> requests,
-                          std::vector<request_result>* results);
   void run_shuffle_period();
   /// Runs one slice of the in-flight incremental shuffle job (no-op
   /// without one); charges the slice's device time and, when the job
@@ -271,8 +281,10 @@ class controller {
   /// Accumulates the storage-device op/byte growth since `before` into
   /// the shuffle_device_* counters (no-op without an attached device).
   void charge_shuffle_device_delta(const sim::io_stats& before) noexcept;
-  /// Services one hit request via the memory lane; returns its cost.
-  oram::cost_split service_hit(const request& req, request_result* result);
+  /// Adds one hit request to the cycle's group: a tree access, or a
+  /// dummy in its place when trusted memory (shelter, staged block)
+  /// serves it right here. Returns the trusted serve's cost.
+  oram::cost_split plan_hit(const request& req, request_result* result);
 
   horam_config config_;
   const sim::cpu_model& cpu_;
@@ -287,6 +299,9 @@ class controller {
 
   /// Requests submitted but not yet drained (session API).
   std::vector<request> pending_;
+
+  /// The cycle's cache-tree accesses (access_group), reused.
+  std::vector<oram::path_op> group_;
 
   /// Control-layer shelter for shuffle-overflow blocks; resident from
   /// the scheduler's point of view (served with dummy path accesses).

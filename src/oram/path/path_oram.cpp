@@ -87,13 +87,9 @@ path_oram::path_oram(const path_oram_config& config,
   }
 
   bucket_scratch_.resize(config.bucket_size * codec_.record_bytes());
-  const std::size_t path_records =
-      static_cast<std::size_t>(level_count_) * config.bucket_size;
-  path_window_.resize(path_records * codec_.record_bytes());
-  path_ids_.resize(path_records);
-  path_payloads_.resize(path_records * config.payload_bytes);
-  writeback_.reserve(path_records);
-  writeback_payloads_.reserve(path_records);
+  selected_.reserve(config.bucket_size);
+  zero_payload_.resize(config.payload_bytes, 0);
+  reserve_group(1);
   if (active_store_log != nullptr) {
     active_store_log->trees_.push_back({memory_store_.get(), io_store_.get()});
   }
@@ -148,11 +144,35 @@ cost_split path_oram::write_bucket(std::uint64_t bucket,
   return cost;
 }
 
-std::span<std::uint8_t> path_oram::window_bucket(std::uint32_t level) {
+void path_oram::reserve_group(std::size_t ops) {
+  const std::size_t buckets = ops * level_count_;
+  if (buckets <= union_index_.size()) {
+    return;
+  }
+  const std::size_t records = buckets * config_.bucket_size;
+  group_.reserve(ops);
+  union_buckets_.reserve(buckets);
+  union_index_.resize(buckets);
+  window_.resize(records * codec_.record_bytes());
+  window_ids_.resize(records);
+  window_payloads_.resize(records * config_.payload_bytes);
+  writeback_.reserve(records);
+}
+
+std::span<std::uint8_t> path_oram::window_at(std::size_t position) {
   const std::size_t bucket_bytes =
       static_cast<std::size_t>(config_.bucket_size) * codec_.record_bytes();
-  return {path_window_.data() + (level_count_ - 1 - level) * bucket_bytes,
-          bucket_bytes};
+  return {window_.data() + position * bucket_bytes, bucket_bytes};
+}
+
+std::size_t path_oram::window_position(std::size_t op,
+                                       std::uint32_t level) const {
+  return union_buckets_.size() - 1 -
+         union_index_[op * level_count_ + level];
+}
+
+std::span<std::uint8_t> path_oram::window_bucket(std::uint32_t level) {
+  return window_at(level_count_ - 1 - level);
 }
 
 bool path_oram::segment_valid(storage::segment_ref segment) const {
@@ -184,18 +204,22 @@ void path_oram::mark_segment_valid(storage::segment_ref segment) {
   }
 }
 
-cost_split path_oram::load_path(leaf_id leaf) {
+cost_split path_oram::load_union() {
   cost_split cost;
-  const std::uint64_t z = config_.bucket_size;
-  const std::size_t record_bytes = codec_.record_bytes();
-  const std::size_t bucket_bytes = z * record_bytes;
-
+  const std::size_t union_size = union_buckets_.size();
   if (!page_) {
-    for (std::uint32_t level = 0; level < level_count_; ++level) {
-      cost += read_bucket(bucket_on_path(leaf, level), window_bucket(level));
+    for (std::size_t read = 0; read < union_size; ++read) {
+      cost += read_bucket(union_buckets_[read],
+                          window_at(union_size - 1 - read));
     }
     return cost;
   }
+
+  // Page layout: a group of one, so the window is one path.
+  const leaf_id leaf = group_.front().leaf;
+  const std::uint64_t z = config_.bucket_size;
+  const std::size_t record_bytes = codec_.record_bytes();
+  const std::size_t bucket_bytes = z * record_bytes;
 
   // Memory levels stay bucket-granular on the memory lane.
   for (std::uint32_t level = 0; level < memory_levels_; ++level) {
@@ -235,24 +259,25 @@ cost_split path_oram::load_path(leaf_id leaf) {
   return cost;
 }
 
-cost_split path_oram::store_path(leaf_id leaf) {
+cost_split path_oram::store_union() {
   cost_split cost;
-  const std::uint64_t z = config_.bucket_size;
-  const std::size_t bucket_bytes = z * codec_.record_bytes();
-
+  const std::size_t union_size = union_buckets_.size();
   if (!page_) {
-    for (std::uint32_t down = 0; down < level_count_; ++down) {
-      const std::uint32_t level = level_count_ - 1 - down;
-      cost += write_bucket(bucket_on_path(leaf, level), window_bucket(level));
+    for (std::size_t position = 0; position < union_size; ++position) {
+      cost += write_bucket(union_buckets_[union_size - 1 - position],
+                           window_at(position));
     }
     return cost;
   }
 
-  // Leaf-to-root: deepest group's segment first, then up, then the
-  // memory buckets. Path buckets are spliced into the segment buffer
-  // load_path filled; sibling bytes go back unchanged. The write makes
-  // every covered bucket's device image authoritative, so the whole
-  // segment turns valid.
+  // Page layout, a group of one. Leaf-to-root: deepest group's segment
+  // first, then up, then the memory buckets. Path buckets are spliced
+  // into the segment buffer load_union filled; sibling bytes go back
+  // unchanged. The write makes every covered bucket's device image
+  // authoritative, so the whole segment turns valid.
+  const leaf_id leaf = group_.front().leaf;
+  const std::uint64_t z = config_.bucket_size;
+  const std::size_t bucket_bytes = z * codec_.record_bytes();
   for (std::uint32_t up = 0; up < page_->group_count(); ++up) {
     const std::uint32_t g = page_->group_count() - 1 - up;
     const storage::segment_ref segment = page_->path_segment(g, leaf);
@@ -281,41 +306,102 @@ cost_split path_oram::store_path(leaf_id leaf) {
 
 bool path_oram::contains(block_id id) const { return positions_.contains(id); }
 
-cost_split path_oram::path_access(
-    leaf_id leaf, block_id requested, op_kind op,
-    std::span<const std::uint8_t> write_data,
-    std::span<std::uint8_t> read_out,
-    const std::function<void(std::span<std::uint8_t>)>* updater,
-    bool extract_requested) {
+cost_split path_oram::run_group() {
   cost_split cost;
-  // One access = one dependent exchange per lane: the whole path is
-  // read, served from the stash and written back before the caller can
-  // issue anything that depends on the result. A recursive map walk of
-  // k levels is k of these scopes, so it counts k round trips.
+  // One group = one dependent exchange per lane: the union is read,
+  // every op is served and the union written back before the caller
+  // can issue anything that depends on the results. A recursive map
+  // walk of k levels is k groups of one, so it counts k round trips.
   sim::trip_scope round_trip(&memory_device_,
                              io_store_ ? &io_store_->device() : nullptr);
-  trace(trace_, event_kind::memory_path_access, leaf, config_.leaf_count);
+  for (const planned_op& planned : group_) {
+    trace(trace_, event_kind::memory_path_access, planned.leaf,
+          config_.leaf_count);
+  }
 
-  const std::uint64_t z = config_.bucket_size;
+  // The union of the paths, path by path, root to leaf. Two paths
+  // share a level's bucket iff their leaves agree above it, so op j's
+  // bucket is new unless an earlier op already reads it.
+  union_buckets_.clear();
+  for (std::size_t j = 0; j < group_.size(); ++j) {
+    for (std::uint32_t level = 0; level < level_count_; ++level) {
+      auto index = static_cast<std::uint32_t>(union_buckets_.size());
+      for (std::size_t i = 0; i < j; ++i) {
+        if (paths_share_bucket(group_[i].leaf, group_[j].leaf, level)) {
+          index = union_index_[i * level_count_ + level];
+          break;
+        }
+      }
+      if (index == union_buckets_.size()) {
+        union_buckets_.push_back(bucket_on_path(group_[j].leaf, level));
+      }
+      union_index_[j * level_count_ + level] = index;
+    }
+  }
+
+  // Read the union into the window and open it as one batch: every
+  // record's MAC is checked before any block moves.
+  const std::size_t records = union_buckets_.size() * config_.bucket_size;
   const std::size_t record_bytes = codec_.record_bytes();
+  const std::span<std::uint8_t> window =
+      std::span(window_).first(records * record_bytes);
+  cost += load_union();
+  codec_.decode_many(window, std::span(window_ids_).first(records),
+                     std::span(window_payloads_)
+                         .first(records * config_.payload_bytes));
 
-  // Read the path into the window and decode it as one batch: every
-  // record's MAC is checked before any block is taken. Then move every
-  // real block into the stash, root to leaf.
-  cost += load_path(leaf);
-  codec_.decode_many(path_window_, path_ids_, path_payloads_);
+  for (std::size_t j = 0; j < group_.size(); ++j) {
+    cost += replay(j);
+  }
+
+  // Seal the working set as one batch, in window (write-back) order,
+  // and write each union bucket once.
+  writeback_.clear();
+  for (std::size_t r = 0; r < records; ++r) {
+    const block_id id = window_ids_[r];
+    writeback_.push_back(
+        id == dummy_block_id
+            ? block_codec::block_ref{}
+            : block_codec::block_ref{
+                  id, std::span<const std::uint8_t>(window_payloads_)
+                          .subspan(r * config_.payload_bytes,
+                                   config_.payload_bytes)});
+  }
+  codec_.encode_many(writeback_, window);
+  cost += store_union();
+  cost.cpu += cpu_.crypto_time(2ULL * records, record_bytes);
+  return cost;
+}
+
+cost_split path_oram::replay(std::size_t op) {
+  const planned_op& planned = group_[op];
+  const block_id requested = planned.op.id;
+  const std::uint64_t z = config_.bucket_size;
+  const std::size_t payload_bytes = config_.payload_bytes;
+  const auto window_payload = [&](std::size_t record) {
+    return std::span(window_payloads_)
+        .subspan(record * payload_bytes, payload_bytes);
+  };
+
+  // Remap at the op's turn, as access() does before its path read.
+  if (requested != dummy_block_id && !planned.extract) {
+    if (planned.first_touch) {
+      ++resident_;
+    }
+    positions_.assign(requested, planned.remap);
+  }
+
+  // Move every real block of the path into the stash, root to leaf.
   for (std::uint32_t level = 0; level < level_count_; ++level) {
+    const std::size_t first = window_position(op, level) * z;
     for (std::uint64_t k = 0; k < z; ++k) {
-      const std::size_t index = (level_count_ - 1 - level) * z + k;
-      const block_id id = path_ids_[index];
+      const block_id id = window_ids_[first + k];
       if (id == dummy_block_id) {
         continue;
       }
       invariant(positions_.contains(id),
                 "tree holds a block missing from the position map");
-      stash_.put(id, positions_.leaf_of(id),
-                 std::span<const std::uint8_t>(path_payloads_).subspan(
-                     index * config_.payload_bytes, config_.payload_bytes));
+      stash_.put(id, positions_.leaf_of(id), window_payload(first + k));
     }
   }
 
@@ -323,139 +409,171 @@ cost_split path_oram::path_access(
   if (requested != dummy_block_id) {
     if (!stash_.contains(requested)) {
       // First-ever touch: the block materialises zero-filled.
-      const std::vector<std::uint8_t> zeros(config_.payload_bytes, 0);
-      stash_.put(requested, positions_.leaf_of(requested), zeros);
+      stash_.put(requested, positions_.leaf_of(requested), zero_payload_);
     }
     stash_entry& entry = stash_.at(requested);
     // The request was remapped before the path read; a block that was
     // already sheltering in the stash must follow its new leaf, or the
     // write-back would strand it off its position-map path.
     entry.leaf = positions_.leaf_of(requested);
-    if (op == op_kind::write) {
-      expects(write_data.size() <= config_.payload_bytes,
-              "write larger than the block payload");
+    if (!planned.op.read_out.empty()) {
+      std::memcpy(planned.op.read_out.data(), entry.payload.data(),
+                  payload_bytes);
+    }
+    if (planned.op.op == op_kind::write) {
       std::fill(entry.payload.begin(), entry.payload.end(), 0);
-      std::memcpy(entry.payload.data(), write_data.data(),
-                  write_data.size());
-    } else if (!read_out.empty()) {
-      expects(read_out.size() >= config_.payload_bytes,
-              "read buffer too small");
-      std::memcpy(read_out.data(), entry.payload.data(),
-                  config_.payload_bytes);
+      std::memcpy(entry.payload.data(), planned.op.write_data.data(),
+                  planned.op.write_data.size());
     }
-    if (updater != nullptr) {
-      (*updater)(std::span<std::uint8_t>(entry.payload.data(),
-                                         entry.payload.size()));
+    if (planned.op.updater != nullptr) {
+      (*planned.op.updater)(
+          std::span<std::uint8_t>(entry.payload.data(), entry.payload.size()));
     }
-    if (extract_requested) {
+    if (planned.extract) {
       // The live copy leaves the tree: drop it from the stash and the
       // position map before the write-back re-places the path.
       stash_.erase(requested);
       positions_.remove(requested);
+      --resident_;
     }
   }
 
-  // Greedy write-back, deepest bucket first. The window holds the path
-  // leaf first, so write-back order (leaf to root, slot 0..Z-1) is
-  // window order: the path is encoded as one batch and flushed as one
-  // store_path (same device order as writing level by level; under
-  // `page`, one transfer per segment). Selected payloads move out of
-  // the stash into writeback_payloads_ until the batch is sealed.
-  std::vector<block_id> selected;
+  // Greedy write-back into the working set, deepest bucket first: each
+  // bucket of the path takes up to Z stash blocks whose path shares it,
+  // dummies fill the rest. Later ops of the group read these buckets
+  // back exactly as they would read them from the store.
   for (std::uint32_t down = 0; down < level_count_; ++down) {
     const std::uint32_t level = level_count_ - 1 - down;
-    selected.clear();
+    selected_.clear();
     for (const auto& [id, entry] : stash_) {
-      if (paths_share_bucket(entry.leaf, leaf, level)) {
-        selected.push_back(id);
-        if (selected.size() == z) {
+      if (paths_share_bucket(entry.leaf, planned.leaf, level)) {
+        selected_.push_back(id);
+        if (selected_.size() == z) {
           break;
         }
       }
     }
-    for (const block_id id : selected) {
-      writeback_payloads_.push_back(std::move(stash_.at(id).payload));
-      writeback_.push_back({id, writeback_payloads_.back()});
+    const std::size_t first = window_position(op, level) * z;
+    for (std::uint64_t k = 0; k < z; ++k) {
+      if (k >= selected_.size()) {
+        window_ids_[first + k] = dummy_block_id;
+        continue;
+      }
+      const block_id id = selected_[k];
+      const std::vector<std::uint8_t>& payload = stash_.at(id).payload;
+      std::copy(payload.begin(), payload.end(),
+                window_payload(first + k).begin());
+      window_ids_[first + k] = id;
       stash_.erase(id);
     }
-    writeback_.resize(writeback_.size() + (z - selected.size()));
   }
-  codec_.encode_many(writeback_, path_window_);
-  writeback_.clear();
-  writeback_payloads_.clear();
-  cost += store_path(leaf);
 
-  // Control-layer cost: decrypt + re-encrypt the full path, plus map and
-  // stash bookkeeping.
-  const std::uint64_t records_touched = 2ULL * level_count_ * z;
-  cost.cpu += cpu_.crypto_time(records_touched, record_bytes);
-  cost.cpu += cpu_.word_ops_time(records_touched + stash_.size());
+  // Control-layer cost of the op: map and stash bookkeeping over the
+  // records a lone path access touches (run_group charges the crypto).
+  cost_split cost;
+  cost.cpu += cpu_.word_ops_time(2ULL * level_count_ * z + stash_.size());
   return cost;
 }
 
 cost_split path_oram::access(op_kind op, block_id id,
                              std::span<const std::uint8_t> write_data,
                              std::span<std::uint8_t> read_out) {
-  expects(id < positions_.universe(), "block id outside the universe");
   expects(id != dummy_block_id, "cannot access the dummy id");
-
-  leaf_id old_leaf = 0;
-  if (positions_.contains(id)) {
-    old_leaf = positions_.leaf_of(id);
-  } else {
-    old_leaf = util::uniform_below(rng_, config_.leaf_count);
-    ++resident_;
-  }
-  // Remap before the path read so repeated accesses never repeat leaves.
-  positions_.assign(id, util::uniform_below(rng_, config_.leaf_count));
-  ++stats_.real_accesses;
-  return path_access(old_leaf, id, op, write_data, read_out);
+  const path_op one{id, op, write_data, read_out};
+  return access_group({&one, 1});
 }
 
 cost_split path_oram::access_rmw(
     block_id id,
     const std::function<void(std::span<std::uint8_t>)>& updater) {
-  expects(id < positions_.universe(), "block id outside the universe");
+  expects(id != dummy_block_id, "cannot access the dummy id");
   expects(static_cast<bool>(updater), "rmw needs an updater");
+  path_op one;
+  one.id = id;
+  one.updater = &updater;
+  return access_group({&one, 1});
+}
 
-  leaf_id old_leaf = 0;
-  if (positions_.contains(id)) {
-    old_leaf = positions_.leaf_of(id);
-  } else {
-    old_leaf = util::uniform_below(rng_, config_.leaf_count);
-    ++resident_;
+cost_split path_oram::dummy_access() {
+  const path_op one;
+  return access_group({&one, 1});
+}
+
+cost_split path_oram::access_group(std::span<const path_op> ops) {
+  expects(!ops.empty(), "a group needs at least one access");
+  expects(ops.size() == 1 || !io_store_,
+          "groups of more than one access need a fully in-memory tree");
+  for (const path_op& op : ops) {
+    if (op.id == dummy_block_id) {
+      continue;
+    }
+    expects(op.id < positions_.universe(), "block id outside the universe");
+    if (op.op == op_kind::write) {
+      expects(op.write_data.size() <= config_.payload_bytes,
+              "write larger than the block payload");
+    }
+    expects(op.read_out.empty() || op.read_out.size() >= config_.payload_bytes,
+            "read buffer too small");
   }
-  positions_.assign(id, util::uniform_below(rng_, config_.leaf_count));
-  ++stats_.real_accesses;
-  return path_access(old_leaf, id, op_kind::read, {}, {}, &updater);
+
+  reserve_group(ops.size());
+
+  // Pre-pass: every op's draws, in the order the one-at-a-time calls
+  // take them, so the union is known before the read. The remaps are
+  // applied later, each at its op's turn; an id an earlier op of the
+  // group touched reads the path that op remapped it to.
+  group_.clear();
+  for (const path_op& op : ops) {
+    planned_op& planned = group_.emplace_back();
+    planned.op = op;
+    if (op.id == dummy_block_id) {
+      ++stats_.dummy_accesses;
+      planned.leaf = util::uniform_below(rng_, config_.leaf_count);
+      continue;
+    }
+    ++stats_.real_accesses;
+    const auto earlier = std::find_if(
+        std::next(group_.rbegin()), group_.rend(),
+        [&](const planned_op& other) { return other.op.id == op.id; });
+    if (earlier != group_.rend()) {
+      planned.leaf = earlier->remap;
+    } else if (positions_.contains(op.id)) {
+      planned.leaf = positions_.leaf_of(op.id);
+    } else {
+      planned.leaf = util::uniform_below(rng_, config_.leaf_count);
+      planned.first_touch = true;
+    }
+    // Remapped before the path read so repeated accesses never repeat
+    // leaves.
+    planned.remap = util::uniform_below(rng_, config_.leaf_count);
+  }
+  return run_group();
 }
 
 cost_split path_oram::extract(block_id id,
                               std::span<std::uint8_t> read_out) {
   expects(id < positions_.universe(), "block id outside the universe");
   expects(positions_.contains(id), "extract of a non-resident block");
+  expects(read_out.empty() || read_out.size() >= config_.payload_bytes,
+          "read buffer too small");
+  ++stats_.real_accesses;
   // No remap: the block leaves the tree, so its (about to be read) path
   // is never correlated with a future access.
-  const leaf_id old_leaf = positions_.leaf_of(id);
-  ++stats_.real_accesses;
-  const cost_split cost = path_access(old_leaf, id, op_kind::read, {},
-                                      read_out, nullptr,
-                                      /*extract_requested=*/true);
-  --resident_;
-  return cost;
-}
-
-cost_split path_oram::dummy_access() {
-  ++stats_.dummy_accesses;
-  const leaf_id leaf = util::uniform_below(rng_, config_.leaf_count);
-  return path_access(leaf, dummy_block_id, op_kind::read, {}, {});
+  group_.clear();
+  planned_op& planned = group_.emplace_back();
+  planned.op.id = id;
+  planned.op.read_out = read_out;
+  planned.leaf = positions_.leaf_of(id);
+  planned.extract = true;
+  return run_group();
 }
 
 cost_split path_oram::force_evict() {
   ++stats_.forced_evictions;
-  const leaf_id leaf =
+  group_.clear();
+  group_.emplace_back().leaf =
       util::reverse_bits(evict_counter_++, level_count_ - 1);
-  return path_access(leaf, dummy_block_id, op_kind::read, {}, {});
+  return run_group();
 }
 
 cost_split path_oram::install(block_id id,
@@ -491,7 +609,6 @@ cost_split path_oram::evict_all(std::vector<evicted_block>& out) {
   const std::size_t payload_bytes = config_.payload_bytes;
 
   // 1) Stream the whole tree (sequential sweeps) and decode in batches.
-  std::vector<std::uint8_t> chunk;
   std::vector<block_id> ids(codec_batch_records);
   std::vector<std::uint8_t> payloads(codec_batch_records * payload_bytes);
   const auto take_reals = [&](std::span<const std::uint8_t> records) {
@@ -512,16 +629,16 @@ cost_split path_oram::evict_all(std::vector<evicted_block>& out) {
       }
     }
   };
+  // Decoded straight from the store: no host copy of the tree.
   const auto sweep = [&](storage::block_store& store, bool memory_lane) {
     const std::uint64_t slots = store.slot_count();
     for (std::uint64_t first = 0; first < slots;
          first += sweep_chunk_records) {
       const std::uint64_t count =
           std::min(sweep_chunk_records, slots - first);
-      chunk.resize(count * record_bytes);
-      const sim::sim_time t = store.read_range(first, count, chunk);
+      sim::sim_time t = 0;
+      take_reals(store.view_range(first, count, t));
       (memory_lane ? cost.memory : cost.io) += t;
-      take_reals(chunk);
     }
   };
   if (memory_store_) {
@@ -535,6 +652,7 @@ cost_split path_oram::evict_all(std::vector<evicted_block>& out) {
     // nothing and the device is spared the transfer. The skip pattern
     // is the (public) valid-bit occupancy, not a function of block
     // identities.
+    std::vector<std::uint8_t> chunk;
     for (std::uint32_t g = 0; g < page_->group_count(); ++g) {
       const std::uint64_t records = page_->segment_records(g);
       chunk.resize(records * record_bytes);
@@ -700,16 +818,16 @@ cost_split path_oram::reset() {
                              io_store_ ? &io_store_->device() : nullptr);
   const std::size_t record_bytes = codec_.record_bytes();
 
-  std::vector<std::uint8_t> chunk;
+  // Dummies are sealed straight into the store: no host copy of the
+  // tree.
   const auto rewrite = [&](storage::block_store& store, bool memory_lane) {
     const std::uint64_t slots = store.slot_count();
     for (std::uint64_t first = 0; first < slots;
          first += sweep_chunk_records) {
       const std::uint64_t count =
           std::min(sweep_chunk_records, slots - first);
-      chunk.resize(count * record_bytes);
-      codec_.encode_dummies(chunk);
-      const sim::sim_time t = store.write_range(first, count, chunk);
+      sim::sim_time t = 0;
+      codec_.encode_dummies(store.fill_range(first, count, t));
       (memory_lane ? cost.memory : cost.io) += t;
     }
     cost.cpu += cpu_.crypto_time(slots, record_bytes);

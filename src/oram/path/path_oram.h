@@ -15,6 +15,19 @@
 // requested block to a fresh uniform leaf, and greedily writes the path
 // back from the stash. Dummy accesses (random path, write-back
 // unchanged) are indistinguishable from real ones on the bus.
+//
+// access_group() serves a group of accesses — the controller's c
+// cache-tree accesses of one scheduler cycle — with one read of the
+// union of their paths and one sealed write-back: each union bucket is
+// read, opened, sealed and written once per group. In between, the ops
+// replay in order exactly as the one-at-a-time calls would (same RNG
+// draws, same stash puts and erases, same greedy write-back), against a
+// plaintext working set in trusted memory instead of the store, so the
+// tree, stash and position map end up as the sequential calls leave
+// them. The working set holds the largest group's paths, at most
+// c × levels × Z records for groups of c; it grows to that size once
+// and is reused. Every single access is a group of one, with the
+// device order and bytes of a lone path access.
 #ifndef HORAM_ORAM_PATH_PATH_ORAM_H
 #define HORAM_ORAM_PATH_PATH_ORAM_H
 
@@ -67,6 +80,23 @@ struct path_oram_config {
   storage::storage_layout layout = storage::storage_layout::flat;
   /// Target device page size for storage_layout::page.
   std::uint64_t page_bytes = 16384;
+};
+
+/// One access of an access_group(): what access(), access_rmw() or
+/// dummy_access() would do, as data.
+struct path_op {
+  /// The requested block; dummy_block_id makes the op a dummy access
+  /// (random path, nothing served).
+  block_id id = dummy_block_id;
+  op_kind op = op_kind::read;
+  /// Write: the new payload (a short one is zero-padded).
+  std::span<const std::uint8_t> write_data;
+  /// Read: receives the payload (payload_bytes long). Write: when
+  /// non-empty, receives the pre-write payload — fetch-before-write in
+  /// one access, with the bus shape and RNG draws of a plain write.
+  std::span<std::uint8_t> read_out;
+  /// Optional in-stash edit after the read or write (access_rmw).
+  const std::function<void(std::span<std::uint8_t>)>* updater = nullptr;
 };
 
 /// Counters of a Path ORAM instance.
@@ -138,10 +168,23 @@ class path_oram {
 
   /// Performs one ORAM access. For reads, the payload lands in
   /// `read_out` (payload_bytes long); absent blocks read as zeros and
-  /// become resident. For writes, `write_data` replaces the payload.
+  /// become resident. For writes, `write_data` replaces the payload
+  /// (and a non-empty `read_out` receives the old one).
   cost_split access(op_kind op, block_id id,
                     std::span<const std::uint8_t> write_data,
                     std::span<std::uint8_t> read_out);
+
+  /// Runs `ops` (at least one) as the same sequence of
+  /// access() / access_rmw() / dummy_access() calls would — same leaves,
+  /// same results, same tree, stash and position map afterwards — but
+  /// reads the union of their paths once, opens it as one batch (every
+  /// MAC is checked before any block moves, the map or the stash
+  /// changes) and seals and writes each union bucket once. On the bus:
+  /// one memory_path_access per op, in order, then the union buckets
+  /// read root side first, path by path, then written in the reverse
+  /// order. The memory lane is charged for the union's bucket ops and
+  /// crypto. More than one op needs a fully in-memory tree.
+  cost_split access_group(std::span<const path_op> ops);
 
   /// One-access read-modify-write: `updater` edits the payload while
   /// the block passes through the stash (packed-entry updates, e.g. the
@@ -236,16 +279,36 @@ class path_oram {
   cost_split write_bucket(std::uint64_t bucket,
                           std::span<const std::uint8_t> records);
 
-  /// The path window: level `level`'s bucket records of the access in
-  /// flight (level_count_ buckets of Z records each).
+  /// One op of the group in flight, with the leaves its pre-pass drew.
+  struct planned_op {
+    path_op op;
+    /// The path the op reads.
+    leaf_id leaf = 0;
+    /// The requested block's next leaf (real ops that stay resident).
+    leaf_id remap = 0;
+    /// The requested block was not resident: it becomes so at its turn.
+    bool first_touch = false;
+    /// The requested block leaves the tree (extract).
+    bool extract = false;
+  };
+
+  /// The window: the union buckets' records of the group in flight,
+  /// last-read bucket first (write-back order). Position `p` holds
+  /// union bucket union_buckets_[union_size - 1 - p].
+  [[nodiscard]] std::span<std::uint8_t> window_at(std::size_t position);
+  /// Window position of `level`'s bucket on the path of group_[op].
+  [[nodiscard]] std::size_t window_position(std::size_t op,
+                                            std::uint32_t level) const;
+  /// The window bucket of `level` in a group of one (the page layout's
+  /// segment splicing).
   [[nodiscard]] std::span<std::uint8_t> window_bucket(std::uint32_t level);
-  /// Fills the path window for the path to `leaf` (device reads; under
-  /// `page`, one transfer per segment with valid-bit skipping).
-  cost_split load_path(leaf_id leaf);
-  /// Writes the path window back along the path to `leaf`, leaf to
-  /// root (under `page`, sibling bytes of each segment are rewritten
-  /// unchanged from the buffer load_path filled).
-  cost_split store_path(leaf_id leaf);
+  /// Fills the window from the union buckets (under `page`, one
+  /// transfer per segment with valid-bit skipping; groups of one).
+  cost_split load_union();
+  /// Writes the window back, in the reverse of the read order (under
+  /// `page`, sibling bytes of each segment are rewritten unchanged from
+  /// the buffer load_union filled).
+  cost_split store_union();
 
   /// True iff any bucket of the segment has been written since reset.
   [[nodiscard]] bool segment_valid(storage::segment_ref segment) const;
@@ -253,13 +316,15 @@ class path_oram {
   /// rewrites them all).
   void mark_segment_valid(storage::segment_ref segment);
 
-  cost_split path_access(
-      leaf_id leaf, block_id requested, op_kind op,
-      std::span<const std::uint8_t> write_data,
-      std::span<std::uint8_t> read_out,
-      const std::function<void(std::span<std::uint8_t>)>* updater =
-          nullptr,
-      bool extract_requested = false);
+  /// Grows the per-group scratch to hold `ops` paths (no-op when it
+  /// already does).
+  void reserve_group(std::size_t ops);
+  /// Serves group_ (planned by the caller): union read, one decode,
+  /// replay of every op against the window, one encode, union write.
+  cost_split run_group();
+  /// Replays group_[op] against the decoded window; returns its
+  /// bookkeeping cost.
+  cost_split replay(std::size_t op);
 
   path_oram_config config_;
   std::uint32_t level_count_;
@@ -289,18 +354,27 @@ class path_oram {
   std::unique_ptr<storage::page_layout> page_;
   std::unique_ptr<storage::valid_bit_tree> valid_;
 
-  // Reused per-access scratch.
+  // Reused per-group scratch, sized for the largest group so far.
   std::vector<std::uint8_t> bucket_scratch_;
-  /// One path's bucket records (level_count_ * Z records), leaf bucket
-  /// first: write-back order.
-  std::vector<std::uint8_t> path_window_;
-  /// Ids and payloads decoded from the path window, in window order.
-  std::vector<block_id> path_ids_;
-  std::vector<std::uint8_t> path_payloads_;
-  /// The write-back batch, in window order, and the payloads it points
-  /// into (moved out of the stash).
+  /// The group in flight.
+  std::vector<planned_op> group_;
+  /// Union of the group's paths in read order: path by path, root to
+  /// leaf, each bucket at its first occurrence.
+  std::vector<std::uint64_t> union_buckets_;
+  /// Read index into union_buckets_ of each op's bucket at each level
+  /// (op-major, level_count_ per op).
+  std::vector<std::uint32_t> union_index_;
+  /// Window records, and the ids and payloads decoded from them (the
+  /// plaintext working set the replay reads and writes back into).
+  std::vector<std::uint8_t> window_;
+  std::vector<block_id> window_ids_;
+  std::vector<std::uint8_t> window_payloads_;
+  /// Blocks one write-back level selects from the stash.
+  std::vector<block_id> selected_;
+  /// A first-touch block's payload.
+  std::vector<std::uint8_t> zero_payload_;
+  /// The write-back batch, in window order.
   std::vector<block_codec::block_ref> writeback_;
-  std::vector<std::vector<std::uint8_t>> writeback_payloads_;
   /// Per-group segment bytes of the access in flight (page layout).
   std::vector<std::vector<std::uint8_t>> segment_buffers_;
 };

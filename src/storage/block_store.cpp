@@ -42,23 +42,40 @@ sim::sim_time block_store::write(std::uint64_t slot,
 sim::sim_time block_store::read_range(std::uint64_t first,
                                       std::uint64_t count,
                                       std::span<std::uint8_t> out) {
-  expects(first + count <= slot_count_, "range out of bounds");
-  expects(count > 0, "empty range read");
   expects(out.size() >= count * record_bytes_, "output buffer too small");
-  std::memcpy(out.data(), data_.data() + first * record_bytes_,
-              count * record_bytes_);
-  return device_.read(device_offset(first), count * logical_block_bytes_);
+  sim::sim_time cost = 0;
+  const std::span<const std::uint8_t> records =
+      view_range(first, count, cost);
+  std::memcpy(out.data(), records.data(), records.size());
+  return cost;
 }
 
 sim::sim_time block_store::write_range(std::uint64_t first,
                                        std::uint64_t count,
                                        std::span<const std::uint8_t> in) {
+  expects(in.size() >= count * record_bytes_, "input buffer too small");
+  sim::sim_time cost = 0;
+  const std::span<std::uint8_t> records = fill_range(first, count, cost);
+  std::memcpy(records.data(), in.data(), records.size());
+  return cost;
+}
+
+std::span<const std::uint8_t> block_store::view_range(std::uint64_t first,
+                                                      std::uint64_t count,
+                                                      sim::sim_time& cost) {
+  expects(first + count <= slot_count_, "range out of bounds");
+  expects(count > 0, "empty range read");
+  cost = device_.read(device_offset(first), count * logical_block_bytes_);
+  return {data_.data() + first * record_bytes_, count * record_bytes_};
+}
+
+std::span<std::uint8_t> block_store::fill_range(std::uint64_t first,
+                                                std::uint64_t count,
+                                                sim::sim_time& cost) {
   expects(first + count <= slot_count_, "range out of bounds");
   expects(count > 0, "empty range write");
-  expects(in.size() >= count * record_bytes_, "input buffer too small");
-  std::memcpy(data_.data() + first * record_bytes_, in.data(),
-              count * record_bytes_);
-  return device_.write(device_offset(first), count * logical_block_bytes_);
+  cost = device_.write(device_offset(first), count * logical_block_bytes_);
+  return {data_.data() + first * record_bytes_, count * record_bytes_};
 }
 
 sim::sim_time block_store::read_xor(std::span<const std::uint64_t> slots,

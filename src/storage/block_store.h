@@ -54,6 +54,18 @@ class block_store {
   sim::sim_time write_range(std::uint64_t first, std::uint64_t count,
                             std::span<const std::uint8_t> in);
 
+  /// read_range without the host copy, for whole-store sweeps that
+  /// decode as they go: charges the same transfer to `cost` and returns
+  /// the records read-only (valid until the store is next written).
+  [[nodiscard]] std::span<const std::uint8_t> view_range(
+      std::uint64_t first, std::uint64_t count, sim::sim_time& cost);
+
+  /// write_range without the host copy: charges the same transfer to
+  /// `cost` and returns the records' bytes for the caller to fill.
+  [[nodiscard]] std::span<std::uint8_t> fill_range(std::uint64_t first,
+                                                   std::uint64_t count,
+                                                   sim::sim_time& cost);
+
   /// XOR-combined read (Ring ORAM's XOR technique): the storage side
   /// folds the listed slots together and a single combined block — the
   /// byte-wise XOR of their records — crosses the bus into `out`

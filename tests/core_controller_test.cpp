@@ -8,6 +8,8 @@
 
 #include "analysis/pattern_audit.h"
 #include "core/controller.h"
+#include "crypto/siphash.h"
+#include "horam.h"
 #include "sim/profiles.h"
 #include "util/rng.h"
 #include "workload/generators.h"
@@ -385,6 +387,75 @@ TEST_P(ControllerSweep, DifferentialCorrectnessAndInvariants) {
   EXPECT_EQ(stats.hits + stats.misses, stats.requests);
   EXPECT_EQ(stats.cycles, stats.real_loads + stats.dummy_loads);
   EXPECT_LE(ctrl.memory_tree().stash_ref().peak_size(), 128u);
+}
+
+// ------------------------------------------------------ cycle golden
+
+/// SipHash digest of a fixed-seed run through the coalescing engine:
+/// every bus event except the memory-bucket ones, plus every payload
+/// the run reads back. Partial shuffling (every third period) leaves
+/// overflow in the shelter, a bounded slice budget keeps staged blocks
+/// in flight, and reads merged ahead of a write coalesce into
+/// fetch-before-write accesses, so every kind of hit occurs.
+std::uint64_t cycle_golden_digest(client& c) {
+  std::vector<std::uint8_t> transcript;
+  const auto append_word = [&](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      transcript.push_back(static_cast<std::uint8_t>(word >> (8 * i)));
+    }
+  };
+  util::pcg64 driver(4242);
+  std::vector<request_result> results;
+  for (int batch = 0; batch < 40; ++batch) {
+    std::vector<request> requests(24);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      request& req = requests[i];
+      // Half the traffic on 16 hot blocks, so rounds coalesce.
+      req.id = util::bernoulli(driver, 0.5) ? util::uniform_below(driver, 16)
+                                            : util::uniform_below(driver, 256);
+      if (util::bernoulli(driver, 0.4)) {
+        req.op = op_kind::write;
+        req.write_data.assign(16, static_cast<std::uint8_t>(batch * 31 + i));
+      }
+    }
+    c.run(requests, &results);
+    for (const request_result& result : results) {
+      transcript.insert(transcript.end(), result.read_data.begin(),
+                        result.read_data.end());
+    }
+  }
+  for (const oram::trace_event& event : c.trace()->events()) {
+    if (event.kind == oram::event_kind::memory_bucket_read ||
+        event.kind == oram::event_kind::memory_bucket_write) {
+      continue;
+    }
+    append_word(static_cast<std::uint64_t>(event.kind));
+    append_word(event.a);
+    append_word(event.b);
+  }
+  return crypto::siphash24(crypto::siphash_key{}, transcript);
+}
+
+// The digest was recorded when every cache-tree access read and wrote
+// its own path. Serving a cycle's accesses as one group changes only
+// the memory-bucket events (and nonces and the memory-lane charge):
+// leaves, storage events, shuffles and every payload stay the same.
+TEST(ControllerGolden, TraceOutsideMemoryBucketsMatchesRecordedDigest) {
+  client c = client_builder()
+                 .blocks(256)
+                 .memory_blocks(64)
+                 .payload_bytes(16)
+                 .backend(backend_kind::partitioned)
+                 .coalescing(true)
+                 .shuffle(shuffle_policy::incremental)
+                 .shuffle_slice_budget(1'000'000)
+                 .shuffle_every(3)
+                 .trace(true)
+                 .seed(2019)
+                 .build();
+  EXPECT_EQ(cycle_golden_digest(c), 0x54507356dcfbd10fULL);
+  EXPECT_GT(c.stats().trusted_hits, 0u);
+  EXPECT_GT(c.stats().shuffle_slices, 0u);
 }
 
 }  // namespace

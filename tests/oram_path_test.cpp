@@ -1,12 +1,17 @@
 // Tests for the Path ORAM implementation: functional correctness
 // against a shadow map, stash behaviour, obliviousness of the bus
 // pattern, eviction and reset, bulk initialisation, integrity of the
-// stored records, golden digests of the store images, and the memory/
-// storage level split of the tree-top-cache baseline.
+// stored records, golden digests of the store images, grouped accesses
+// against a one-at-a-time reference, and the memory/storage level
+// split of the tree-top-cache baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <optional>
+#include <set>
+#include <tuple>
 #include <unordered_map>
 
 #include "analysis/pattern_audit.h"
@@ -508,6 +513,335 @@ TEST_P(PathOramGolden, PageLayoutImagesMatchRecordedDigest) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, PathOramGolden, test::lane_widths(),
                          test::lane_width_name);
+
+// ------------------------------------------------------ grouped access
+
+/// One op of a grouped-access stream, as data both runners read.
+struct stream_op {
+  enum class kind { read, write, rmw, fetch_write, dummy } what;
+  block_id id = dummy_block_id;
+  std::uint8_t tag = 0;
+};
+
+/// A random group of 1-5 ops over 40 ids, half on 6 hot ones, so groups
+/// repeat ids and first touches keep arriving.
+std::vector<stream_op> random_group(util::pcg64& driver) {
+  std::vector<stream_op> group(1 + util::uniform_below(driver, 5));
+  for (stream_op& op : group) {
+    op.what = static_cast<stream_op::kind>(util::uniform_below(driver, 5));
+    op.id = util::bernoulli(driver, 0.5) ? util::uniform_below(driver, 6)
+                                         : util::uniform_below(driver, 40);
+    op.tag = static_cast<std::uint8_t>(util::uniform_below(driver, 256));
+  }
+  return group;
+}
+
+/// A small fully in-memory tree that serves groups.
+struct group_rig {
+  sim::block_device memory{sim::dram_ddr4()};
+  sim::cpu_model cpu{sim::cpu_aesni()};
+  util::pcg64 rng{2024};
+  access_trace trace;
+  path_oram oram;
+
+  group_rig()
+      : oram(group_config(), memory, nullptr, cpu, rng, &trace) {}
+
+  static path_oram_config group_config() {
+    path_oram_config c;
+    c.leaf_count = 16;
+    c.bucket_size = 4;
+    c.payload_bytes = 16;
+    c.id_universe = 64;
+    return c;
+  }
+};
+
+/// Runs `group` one access at a time (the reference) and returns what
+/// each op read (empty for writes and dummies).
+std::vector<std::vector<std::uint8_t>> run_one_at_a_time(
+    path_oram& oram, const std::vector<stream_op>& group) {
+  std::vector<std::vector<std::uint8_t>> outs;
+  for (const stream_op& op : group) {
+    std::vector<std::uint8_t> out;
+    switch (op.what) {
+      case stream_op::kind::read:
+        out.resize(16);
+        oram.access(op_kind::read, op.id, {}, out);
+        break;
+      case stream_op::kind::write:
+        oram.access(op_kind::write, op.id, payload_of(op.tag), {});
+        break;
+      case stream_op::kind::rmw:
+        oram.access_rmw(op.id, [&](std::span<std::uint8_t> bytes) {
+          bytes[1] = static_cast<std::uint8_t>(bytes[1] + op.tag);
+        });
+        break;
+      case stream_op::kind::fetch_write:
+        oram.access_rmw(op.id, [&](std::span<std::uint8_t> bytes) {
+          out.assign(bytes.begin(), bytes.end());
+          const std::vector<std::uint8_t> fresh = payload_of(op.tag);
+          std::copy(fresh.begin(), fresh.end(), bytes.begin());
+        });
+        break;
+      case stream_op::kind::dummy:
+        oram.dummy_access();
+        break;
+    }
+    outs.push_back(std::move(out));
+  }
+  return outs;
+}
+
+/// Runs `group` as one access_group() and returns what each op read.
+std::vector<std::vector<std::uint8_t>> run_grouped(
+    path_oram& oram, const std::vector<stream_op>& group) {
+  std::vector<std::vector<std::uint8_t>> outs(group.size());
+  std::vector<std::vector<std::uint8_t>> writes(group.size());
+  std::vector<std::function<void(std::span<std::uint8_t>)>> updaters(
+      group.size());
+  std::vector<path_op> ops(group.size());
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    const stream_op& op = group[i];
+    path_op& out = ops[i];
+    out.id = op.id;
+    switch (op.what) {
+      case stream_op::kind::read:
+        outs[i].resize(16);
+        out.read_out = outs[i];
+        break;
+      case stream_op::kind::write:
+        writes[i] = payload_of(op.tag);
+        out.op = op_kind::write;
+        out.write_data = writes[i];
+        break;
+      case stream_op::kind::rmw:
+        updaters[i] = [tag = op.tag](std::span<std::uint8_t> bytes) {
+          bytes[1] = static_cast<std::uint8_t>(bytes[1] + tag);
+        };
+        out.updater = &updaters[i];
+        break;
+      case stream_op::kind::fetch_write:
+        writes[i] = payload_of(op.tag);
+        outs[i].resize(16);
+        out.op = op_kind::write;
+        out.write_data = writes[i];
+        out.read_out = outs[i];
+        break;
+      case stream_op::kind::dummy:
+        out.id = dummy_block_id;
+        break;
+    }
+  }
+  oram.access_group(ops);
+  return outs;
+}
+
+/// Plaintext (id, payload) of every tree slot, in slot order.
+std::vector<std::pair<block_id, std::vector<std::uint8_t>>> tree_image(
+    const storage::block_store& store, std::uint64_t key_seed) {
+  const block_codec codec(16, true, key_seed);
+  std::vector<std::pair<block_id, std::vector<std::uint8_t>>> image;
+  for (std::uint64_t slot = 0; slot < store.slot_count(); ++slot) {
+    std::vector<std::uint8_t> payload(16);
+    const block_id id = codec.decode(store.peek(slot), payload);
+    if (id == dummy_block_id) {
+      payload.clear();
+    }
+    image.emplace_back(id, std::move(payload));
+  }
+  return image;
+}
+
+/// Stash contents in iteration order (the order write-back selects in).
+std::vector<std::tuple<block_id, leaf_id, std::vector<std::uint8_t>>>
+stash_image(const path_oram& oram) {
+  std::vector<std::tuple<block_id, leaf_id, std::vector<std::uint8_t>>> out;
+  for (const auto& [id, entry] : oram.stash_ref()) {
+    out.emplace_back(id, entry.leaf, entry.payload);
+  }
+  return out;
+}
+
+std::vector<leaf_id> leaf_stream(const access_trace& trace) {
+  std::vector<leaf_id> leaves;
+  for (const trace_event& event : trace.events()) {
+    if (event.kind == event_kind::memory_path_access) {
+      leaves.push_back(event.a);
+    }
+  }
+  return leaves;
+}
+
+TEST(PathOramGroup, MatchesOneAtATimeReference) {
+  // The same op stream through access_group() and through single
+  // calls, from the same seed: every read, the decoded tree image slot
+  // for slot, the stash in iteration order, the position map and the
+  // leaf stream agree after every group.
+  detail::path_store_log log;
+  group_rig grouped;
+  group_rig reference;
+  ASSERT_EQ(log.trees().size(), 2u);
+  const storage::block_store& grouped_store = *log.trees()[0].memory;
+  const storage::block_store& reference_store = *log.trees()[1].memory;
+  const std::uint64_t key = group_rig::group_config().key_seed;
+
+  util::pcg64 driver(606);
+  bool saw_duplicate = false;
+  bool saw_first_touch = false;
+  for (int step = 0; step < 400; ++step) {
+    const std::vector<stream_op> group = random_group(driver);
+    std::set<block_id> ids;
+    for (const stream_op& op : group) {
+      if (op.what == stream_op::kind::dummy) {
+        continue;
+      }
+      saw_duplicate = saw_duplicate || !ids.insert(op.id).second;
+      saw_first_touch = saw_first_touch || !reference.oram.contains(op.id);
+    }
+    ASSERT_EQ(run_grouped(grouped.oram, group),
+              run_one_at_a_time(reference.oram, group))
+        << "step " << step;
+    ASSERT_EQ(stash_image(grouped.oram), stash_image(reference.oram))
+        << "step " << step;
+    ASSERT_EQ(tree_image(grouped_store, key),
+              tree_image(reference_store, key))
+        << "step " << step;
+  }
+  EXPECT_TRUE(saw_duplicate);
+  EXPECT_TRUE(saw_first_touch);
+  EXPECT_EQ(leaf_stream(grouped.trace), leaf_stream(reference.trace));
+  EXPECT_EQ(grouped.oram.resident_blocks(), reference.oram.resident_blocks());
+  for (block_id id = 0; id < 64; ++id) {
+    ASSERT_EQ(grouped.oram.contains(id), reference.oram.contains(id));
+    if (reference.oram.contains(id)) {
+      EXPECT_EQ(grouped.oram.leaf_of(id), reference.oram.leaf_of(id));
+    }
+  }
+  EXPECT_EQ(grouped.oram.stats().real_accesses,
+            reference.oram.stats().real_accesses);
+  EXPECT_EQ(grouped.oram.stats().dummy_accesses,
+            reference.oram.stats().dummy_accesses);
+  EXPECT_NO_THROW(grouped.oram.check_consistency());
+}
+
+TEST(PathOramGroup, ReadsAndWritesEachUnionBucketOnce) {
+  group_rig rig;
+  util::pcg64 driver(707);
+  for (int step = 0; step < 100; ++step) {
+    const std::vector<stream_op> group = random_group(driver);
+    rig.trace.clear();
+    rig.memory.reset_stats();
+    run_grouped(rig.oram, group);
+
+    std::vector<leaf_id> leaves;
+    std::map<std::uint64_t, int> reads;
+    std::map<std::uint64_t, int> writes;
+    for (const trace_event& event : rig.trace.events()) {
+      if (event.kind == event_kind::memory_path_access) {
+        ASSERT_TRUE(reads.empty()) << "announcement after a bucket read";
+        leaves.push_back(event.a);
+      } else if (event.kind == event_kind::memory_bucket_read) {
+        ASSERT_TRUE(writes.empty()) << "read after a write-back";
+        ++reads[event.a];
+      } else if (event.kind == event_kind::memory_bucket_write) {
+        ++writes[event.a];
+      }
+    }
+    ASSERT_EQ(leaves.size(), group.size());
+    std::set<std::uint64_t> expected;
+    for (const leaf_id leaf : leaves) {
+      for (std::uint32_t level = 0; level < rig.oram.level_count(); ++level) {
+        expected.insert(((std::uint64_t{1} << level) - 1) +
+                        (leaf >> (rig.oram.level_count() - 1 - level)));
+      }
+    }
+    ASSERT_EQ(reads.size(), expected.size()) << "step " << step;
+    ASSERT_EQ(writes.size(), expected.size()) << "step " << step;
+    for (const std::uint64_t bucket : expected) {
+      ASSERT_EQ(reads[bucket], 1) << "bucket " << bucket;
+      ASSERT_EQ(writes[bucket], 1) << "bucket " << bucket;
+    }
+    EXPECT_EQ(rig.memory.stats().read_ops, expected.size());
+    EXPECT_EQ(rig.memory.stats().write_ops, expected.size());
+  }
+}
+
+TEST(PathOramGroup, TamperedUnionRecordLeavesStateUnchanged) {
+  // Every MAC of the union is checked before any op replays: a flipped
+  // byte in the leaf bucket of the group's last path makes the group
+  // throw with the stash, the position map and the resident count as
+  // they were, although the earlier ops would have remapped blocks.
+  detail::path_store_log log;
+  group_rig rig;
+  util::pcg64 driver(808);
+  for (int step = 0; step < 30; ++step) {
+    run_grouped(rig.oram, random_group(driver));
+  }
+  storage::block_store& store = *log.trees()[0].memory;
+
+  // Reads of two resident blocks on different leaves, around a write:
+  // tamper with the second one's leaf bucket, which the first path
+  // does not read.
+  std::vector<block_id> resident;
+  for (block_id id = 0; id < 64; ++id) {
+    if (rig.oram.contains(id)) {
+      resident.push_back(id);
+    }
+  }
+  ASSERT_GE(resident.size(), 2u);
+  const block_id first = resident[0];
+  const auto second = std::find_if(
+      resident.begin() + 1, resident.end(), [&](block_id id) {
+        return rig.oram.leaf_of(id) != rig.oram.leaf_of(first);
+      });
+  ASSERT_NE(second, resident.end());
+  const std::uint64_t leaf_bucket =
+      ((std::uint64_t{1} << (rig.oram.level_count() - 1)) - 1) +
+      rig.oram.leaf_of(*second);
+  store.corrupt(leaf_bucket * 4 + 1, /*byte_offset=*/20, 0x01);
+
+  const auto stash_before = stash_image(rig.oram);
+  std::vector<std::optional<leaf_id>> map_before;
+  for (block_id id = 0; id < 64; ++id) {
+    map_before.push_back(rig.oram.contains(id)
+                             ? std::optional(rig.oram.leaf_of(id))
+                             : std::nullopt);
+  }
+  const std::uint64_t resident_before = rig.oram.resident_blocks();
+
+  std::vector<std::uint8_t> out_a(16);
+  std::vector<std::uint8_t> out_b(16);
+  const std::vector<std::uint8_t> data = payload_of(0xee);
+  path_op ops[3];
+  ops[0].id = first;
+  ops[0].read_out = out_a;
+  ops[1].id = 63;
+  ops[1].op = op_kind::write;
+  ops[1].write_data = data;
+  ops[2].id = *second;
+  ops[2].read_out = out_b;
+  EXPECT_THROW(rig.oram.access_group(ops), crypto::crypto_error);
+
+  EXPECT_EQ(stash_image(rig.oram), stash_before);
+  for (block_id id = 0; id < 64; ++id) {
+    const std::optional<leaf_id> now =
+        rig.oram.contains(id) ? std::optional(rig.oram.leaf_of(id))
+                              : std::nullopt;
+    EXPECT_EQ(now, map_before[id]) << "block " << id;
+  }
+  EXPECT_EQ(rig.oram.resident_blocks(), resident_before);
+}
+
+TEST(PathOramGroup, RejectsEmptyGroupsAndGroupsOnStorage) {
+  fixture fx;
+  path_oram oram(fx.config(32, 2), fx.memory, &fx.disk, fx.cpu, fx.rng,
+                 nullptr);
+  EXPECT_THROW(oram.access_group({}), contract_error);
+  const path_op two[2] = {};
+  EXPECT_THROW(oram.access_group(two), contract_error);
+  EXPECT_NO_THROW(oram.access_group(std::span(two).first(1)));
+}
 
 // ------------------------------------------------- tree-top-cache split
 

@@ -75,6 +75,45 @@ TEST(BlockStore, RangeIsSingleDeviceOp) {
   EXPECT_EQ(device.stats().bytes_read, 32u * 1024u);
 }
 
+TEST(BlockStore, InPlaceRangesChargeLikeCopyingOnes) {
+  // view_range / fill_range skip the host copy only: the same bytes,
+  // the same device op and the same virtual time as read_range /
+  // write_range.
+  sim::block_device copying_device(sim::hdd_paper());
+  sim::block_device in_place_device(sim::hdd_paper());
+  block_store copying(copying_device, 0, 64, 16, 1024);
+  block_store in_place(in_place_device, 0, 64, 16, 1024);
+  std::vector<std::uint8_t> data(8 * 16);
+  std::iota(data.begin(), data.end(), std::uint8_t{1});
+
+  const sim::sim_time write_copy = copying.write_range(40, 8, data);
+  sim::sim_time write_in_place = 0;
+  const std::span<std::uint8_t> slots =
+      in_place.fill_range(40, 8, write_in_place);
+  ASSERT_EQ(slots.size(), data.size());
+  std::copy(data.begin(), data.end(), slots.begin());
+  EXPECT_EQ(write_in_place, write_copy);
+
+  std::vector<std::uint8_t> out(8 * 16);
+  const sim::sim_time read_copy = copying.read_range(40, 8, out);
+  sim::sim_time read_in_place = 0;
+  const std::span<const std::uint8_t> view =
+      in_place.view_range(40, 8, read_in_place);
+  EXPECT_EQ(read_in_place, read_copy);
+  EXPECT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()), out);
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(in_place_device.stats().read_ops, 1u);
+  EXPECT_EQ(in_place_device.stats().write_ops, 1u);
+  EXPECT_EQ(in_place_device.stats().bytes_read,
+            copying_device.stats().bytes_read);
+  EXPECT_EQ(in_place_device.stats().bytes_written,
+            copying_device.stats().bytes_written);
+
+  sim::sim_time unused = 0;
+  EXPECT_THROW((void)in_place.view_range(60, 8, unused), contract_error);
+  EXPECT_THROW((void)in_place.fill_range(0, 0, unused), contract_error);
+}
+
 TEST(BlockStore, BaseOffsetSeparatesRegions) {
   sim::block_device device(sim::dram_ddr4());
   block_store region_a(device, 0, 4, 8, 8);

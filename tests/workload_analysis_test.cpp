@@ -349,5 +349,47 @@ TEST(Audit, DetectsIncompletePartitionRewrite) {
             std::string::npos);
 }
 
+/// A cycle of two announced paths in a 4-leaf tree (leaves 0 and 1:
+/// union {0, 1, 3, 4}) with the given bucket reads, each union bucket
+/// written once.
+oram::access_trace union_cycle(std::vector<std::uint64_t> reads) {
+  oram::access_trace trace;
+  trace.record(oram::event_kind::cycle_begin, 0, 2);
+  trace.record(oram::event_kind::storage_read_slot, 3);
+  trace.record(oram::event_kind::memory_path_access, 0, 4);
+  trace.record(oram::event_kind::memory_path_access, 1, 4);
+  for (const std::uint64_t bucket : reads) {
+    trace.record(oram::event_kind::memory_bucket_read, bucket);
+  }
+  for (const std::uint64_t bucket : {4, 3, 1, 0}) {
+    trace.record(oram::event_kind::memory_bucket_write, bucket);
+  }
+  return trace;
+}
+
+TEST(Audit, UnionReadOfTheCyclePathsPasses) {
+  EXPECT_TRUE(
+      analysis::audit_trace(union_cycle({0, 1, 3, 4}), tiny_audit()).passed());
+}
+
+TEST(Audit, DetectsDuplicatedBucketRead) {
+  // Bucket 1 read again for the second path: the union was not served
+  // by one read per bucket.
+  const auto report =
+      analysis::audit_trace(union_cycle({0, 1, 3, 1, 4}), tiny_audit());
+  ASSERT_FALSE(report.passed());
+  EXPECT_NE(report.violations[0].find("bucket 1 read 2 times"),
+            std::string::npos);
+}
+
+TEST(Audit, DetectsUnionBucketLeftUnread) {
+  const auto report =
+      analysis::audit_trace(union_cycle({0, 1, 3}), tiny_audit());
+  ASSERT_FALSE(report.passed());
+  EXPECT_NE(report.violations[0].find("bucket 4 of the announced paths not "
+                                      "read"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace horam
